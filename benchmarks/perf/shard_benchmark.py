@@ -1,25 +1,28 @@
 """Shard benchmark: one continental event loop vs per-region shards.
 
-Measures what :func:`repro.sim.run_sharded` actually buys over the
-architecture it replaces — a single monolithic simulator spinning one
-event loop over every region's machines and every service's tasks at
-once.  The workload is the paper's composite ecosystem: each region
-runs gaming (bursty MMPP match/lobby jobs), banking (Poisson
-transaction/batch jobs), and FaaS (short independent function
-invocations) on shared regional infrastructure, overloaded enough
-that schedulers carry real backlog.  Summed over the run the fleet
-executes about a million simulated core-seconds.
+Measures what :func:`repro.sim.run_sharded` costs against a single
+monolithic simulator spinning one event loop over every region's
+machines and every service's tasks at once.  The workload is the
+paper's composite ecosystem: each region runs gaming (bursty MMPP
+match/lobby jobs), banking (Poisson transaction/batch jobs), and FaaS
+(short independent function invocations) on shared regional
+infrastructure, overloaded enough that schedulers carry real backlog.
+Summed over the run the fleet executes about a million simulated
+core-seconds.
 
-The speedup is *algorithmic*, not parallel-hardware luck: scheduling
-a task costs work proportional to the fleet and backlog the scheduler
-can see, so one loop over ``K`` regions pays superlinearly what ``K``
-per-region loops pay piecewise.  The record therefore reports the
-sharded runs at 1 worker process first — same host, same core, same
-Python, just a partitioned event loop — and the multi-process
-configurations after it.  Every sharded configuration must produce
-the byte-identical merged digest (the conservative-coupling
-determinism contract); ``tools/check_bench_trajectory.py`` refuses
-the record otherwise.
+Sharding is a modelling feature, not a speedup: each region gets its
+own scheduler, and work crosses regions only as offloads over explicit
+wide-area links.  A scheduling round walks only the queue groups a
+free slot can hold, so its cost follows the work it places rather than
+the backlog, and the monolith does not pay for the regions' combined
+queue.  The partitioned loops add coupling work (epoch windows,
+message ordering) and, with several worker processes, inter-process
+traffic, so a speedup below 1 means the monolith was faster.  The
+record reports the sharded runs at 1 worker process first — same
+host, same core — and the multi-process configurations after it.
+Every sharded configuration must produce the byte-identical merged
+digest (the conservative-coupling determinism contract);
+``tools/check_bench_trajectory.py`` refuses the record otherwise.
 
 The monolith and the sharded spec are *different specs* (one has a
 ``shards`` section) with different fingerprints — the record keeps
@@ -97,7 +100,7 @@ def _clusters() -> tuple:
 
 
 def monolith_spec() -> ScenarioSpec:
-    """Every region's services in one event loop (the "before")."""
+    """Every region's services in one event loop and one scheduler."""
     parts = [_region_workload(i).to_dict() for i in range(REGIONS)]
     return ScenarioSpec(
         name="continental-monolith", seed=7,
@@ -107,7 +110,7 @@ def monolith_spec() -> ScenarioSpec:
 
 
 def sharded_spec() -> ScenarioSpec:
-    """The same regions as conservatively coupled shards (the "after")."""
+    """The same regions as conservatively coupled shards."""
     shards = tuple(ShardSpec(f"r{i}", (f"r{i}",),
                              workload=_region_workload(i))
                    for i in range(REGIONS))
@@ -192,11 +195,13 @@ def main(argv: list[str] | None = None) -> int:
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
             "note": ("monolith = one event loop over all regions; "
-                     "sharded = per-region loops under conservative "
-                     "epoch coupling, keyed by worker-process count. "
-                     "The 1-worker speedup is the pure partition "
-                     "effect (same process, same core); every sharded "
-                     "config produced the byte-identical digest."),
+                     "sharded = per-region schedulers and event loops "
+                     "under conservative epoch coupling, keyed by "
+                     "worker-process count. Sharding is a modelling "
+                     "feature (per-region schedulers, WAN offload); a "
+                     "speedup below 1 means the monolith was faster. "
+                     "Every sharded config produced the byte-identical "
+                     "digest."),
         },
         "monolith": monolith,
         "sharded": sharded,

@@ -15,7 +15,8 @@ large-scale runs.  :class:`CapacityIndex` answers both incrementally:
 - a :class:`CapacityVectors` view — numpy arrays of per-machine free
   cores and free memory, maintained as an exact mirror of the machine
   counters — on which vectorized placement policies evaluate a whole
-  fleet in one C-speed pass instead of a per-machine attribute walk.
+  fleet in one C-speed pass instead of a per-machine attribute walk,
+  and :meth:`largest_free_cores` bounds which task sizes can fit at all.
 
 The index is deliberately *order-preserving*: machines are always
 yielded in topology order (clusters, then racks, then mount order),
@@ -327,6 +328,20 @@ class CapacityIndex:
         """Cores currently free on available machines."""
         self._check_topology()
         return sum(entry.free_cores for entry in self._entries)
+
+    def largest_free_cores(self) -> int:
+        """Most free cores on any one up machine (``-1`` if none is up).
+
+        No task demanding more cores can be placed anywhere right now,
+        whatever the placement policy.
+        """
+        self._check_topology()
+        if self.vectors is None:
+            return max((machine.cores_free
+                        for machine in self.available_machines()),
+                       default=-1)
+        cores_free = self.vectors.cores_free
+        return int(cores_free.max()) if cores_free.size else -1
 
     def cluster_free_cores(self, cluster: Cluster) -> int:
         """Free cores of one cluster (counter lookup, no scan)."""

@@ -11,7 +11,7 @@ portfolio schedulers).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from bisect import insort
 
@@ -25,6 +25,8 @@ from .policies import (FCFS, FairShare, FirstFit, PlacementPolicy,
 from .taskqueue import TaskQueue
 
 __all__ = ["ClusterScheduler"]
+
+_UNBOUNDED = float("inf")
 
 
 def _dominated(failed: list[tuple[int, float]], cores: int,
@@ -110,7 +112,7 @@ class ClusterScheduler:
         self.hedge_policy = hedge_policy
 
         self.queue = TaskQueue()
-        #: Policy object the queue's incremental sort view was keyed
+        #: Policy object the queue's sorted groups were keyed
         #: for; compared by identity each round so portfolio schedulers
         #: can swap ``queue_policy`` at runtime.
         self._order_source: QueuePolicy | None = None
@@ -121,6 +123,10 @@ class ClusterScheduler:
         #: CapacityIndex to hand the kernel this round; ``None`` sends
         #: ``_select_machine`` down the scalar reference path.
         self._round_capacity = None
+        #: Largest free core count the queue walk may still place
+        #: (``_fit_limit``); unbounded where the walk must reach the
+        #: first blocked task, ``None`` until read after a placement.
+        self._limit: float | None = _UNBOUNDED
         #: Demand shapes proven unplaceable, carried across rounds
         #: while the capacity index's ``release_epoch`` stands still
         #: (i.e. nothing was freed, so failure proofs stay valid).
@@ -242,19 +248,21 @@ class ClusterScheduler:
             self._schedule_round()
 
     def _schedule_round(self) -> None:
-        """One scheduling epoch: order once, place over the whole set.
+        """One scheduling epoch: walk the queue only as far as work fits.
 
         The round batches everything batchable: queue ordering is one
-        incremental-view read (or one ``order()`` call), placement runs
-        through a vectorized kernel over the capacity arrays when one
-        exists for the policy, failed demands prune later dominated
-        tasks (capacity only shrinks within a round), and datacenter
+        lazy walk over the queue's per-core-demand groups (or one
+        ``order()`` call), the walk drops every group that needs more
+        cores than the largest free slot, placement runs through a
+        vectorized kernel over the capacity arrays when one exists for
+        the policy, failed demands prune later dominated tasks
+        (capacity only shrinks within a round), and datacenter
         bookkeeping is deferred to one flush at round end.
         """
         policy = self.queue_policy
         if policy is not self._order_source:
             # First round, or a portfolio scheduler swapped the policy:
-            # (re)key the queue's incremental sort view.
+            # (re)key the queue's sorted groups.
             self._order_source = policy
             self.queue.set_key(incremental_sort_key(policy))
         placement = self.placement_policy
@@ -262,12 +270,13 @@ class ClusterScheduler:
             self._placement_source = placement
             self._placement_kernel = vectorized_placement(placement)
         capacity = self.datacenter.capacity
-        # One topology check per round covers every kernel call inside
-        # it: topology can only change between events, never inside a
-        # synchronous round.
+        # One topology check per round covers every kernel call and
+        # fit-limit read inside it: topology can only change between
+        # events, never inside a synchronous round.
+        vectors = capacity.sync()
         self._round_capacity = (
             capacity if (self._placement_kernel is not None
-                         and capacity.sync() is not None) else None)
+                         and vectors is not None) else None)
         epoch = capacity.release_epoch
         if epoch != self._failed_epoch:
             # Something was freed since the failures were proven (or
@@ -275,16 +284,16 @@ class ClusterScheduler:
             self._failed_demands = []
             self._failed_epoch = epoch
         if self.queue.has_key:
-            ordered = self.queue.ordered()
+            tasks = self.queue.walk(self._fit_limit)
         else:
-            ordered = policy.order(list(self.queue), self.sim.now)
+            tasks = iter(policy.order(list(self.queue), self.sim.now))
         datacenter = self.datacenter
         datacenter.begin_epoch()
         try:
             if self.backfilling:
-                self._schedule_easy(ordered)
+                self._schedule_easy(tasks)
             else:
-                self._schedule_list(ordered)
+                self._schedule_list(tasks)
         finally:
             datacenter.end_epoch()
         self._queue_dirty = False
@@ -293,6 +302,20 @@ class ClusterScheduler:
         if observer is not None:
             observer.metrics.gauge("scheduler.queue_length").set(
                 float(len(self.queue)))
+
+    def _fit_limit(self) -> float:
+        """Core demand above which the queue walk drops a group.
+
+        A task needing more cores than the largest free slot cannot be
+        placed by any policy, and skipping it changes nothing a probe
+        would: a failed probe never moves the RoundRobin cursor, and
+        its shape would join the failed antichain only to dominate
+        tasks that are above the slot as well.  ``None`` marks the
+        limit stale (a placement since the last read).
+        """
+        if self._limit is None:
+            self._limit = self.datacenter.capacity.largest_free_cores()
+        return self._limit
 
     def _select_machine(self, task: Task) -> Machine | None:
         """Placement via the vectorized kernel, else the scalar path."""
@@ -315,7 +338,7 @@ class ClusterScheduler:
                          if not (f[0] >= cores and f[1] >= memory)]
         failed.append((cores, memory))
 
-    def _schedule_list(self, ordered: list[Task]) -> None:
+    def _schedule_list(self, tasks: Iterator[Task]) -> None:
         # ``failed`` holds demand shapes proven unplaceable — earlier
         # in this round or carried from previous rounds with no release
         # in between.  Any task whose demand dominates a failed shape
@@ -323,7 +346,10 @@ class ClusterScheduler:
         # decisions, fewer scans.
         strict_head = self.strict_head
         failed = self._failed_demands
-        for task in ordered:
+        # Under strict_head the first blocked task in service order
+        # ends the round, so the walk must reach it: no fit limit.
+        self._limit = _UNBOUNDED if strict_head else None
+        for task in tasks:
             cores = task.cores
             memory = task.memory
             if failed and _dominated(failed, cores, memory):
@@ -337,37 +363,40 @@ class ClusterScheduler:
                 self._note_failure(failed, cores, memory)
                 continue
             self._start(task, machine)
+            if not strict_head:
+                self._limit = None
 
-    def _schedule_easy(self, ordered: list[Task]) -> None:
+    def _schedule_easy(self, tasks: Iterator[Task]) -> None:
         """EASY backfilling: greedy + reservation for the blocked head."""
-        # Phase 1: place from the front until the head is blocked.  A
-        # head whose demand dominates a carried failed shape is known
-        # blocked without a probe.
+        # Phase 1: place from the front until the head is blocked.  The
+        # walk is unbounded here, so the head is the first blocked task
+        # in service order.  A head whose demand dominates a carried
+        # failed shape is known blocked without a probe.
         failed = self._failed_demands
-        index = 0
-        n = len(ordered)
-        while index < n:
-            head = ordered[index]
-            if failed and _dominated(failed, head.cores, head.memory):
+        self._limit = _UNBOUNDED
+        head = None
+        for task in tasks:
+            if failed and _dominated(failed, task.cores, task.memory):
+                head = task
                 break
-            machine = self._select_machine(head)
+            machine = self._select_machine(task)
             if machine is None:
-                self._note_failure(failed, head.cores, head.memory)
+                self._note_failure(failed, task.cores, task.memory)
+                head = task
                 break
-            self._start(head, machine)
-            index += 1
-        if index >= n:
+            self._start(task, machine)
+        if head is None:
             return
-        head = ordered[index]
         shadow_time, spare_cores = self._reservation_for(head)
-        # Phase 2: backfill tasks that cannot delay the reservation.
-        # The blocked head's demand is already in the failed set, so
-        # the reservation pass and the placement pass share one view of
-        # what is provably unplaceable.
+        # Phase 2: backfill tasks that cannot delay the reservation,
+        # continuing the same walk, now bounded by the largest free
+        # slot.  The blocked head's demand is already in the failed
+        # set, so the reservation pass and the placement pass share one
+        # view of what is provably unplaceable.
+        self._limit = None
         now = self.sim.now
         shadow_cut = shadow_time + 1e-9
-        for i in range(index + 1, n):
-            task = ordered[i]
+        for task in tasks:
             finishes_before_shadow = now + task.runtime <= shadow_cut
             fits_spare = task.cores <= spare_cores
             if not (finishes_before_shadow or fits_spare):
@@ -383,6 +412,7 @@ class ClusterScheduler:
             if not finishes_before_shadow:
                 spare_cores -= task.cores
             self._start(task, machine)
+            self._limit = None
 
     def _reservation_for(self, head: Task) -> tuple[float, int]:
         """Shadow time and spare cores of the head's future reservation.
