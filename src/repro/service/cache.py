@@ -65,11 +65,16 @@ class ResultCache:
             self.evictions += 1
 
     def by_digest(self, digest: str) -> str | None:
-        """The cached result JSON whose digest is ``digest``, or None."""
+        """The cached result JSON whose digest is ``digest``, or None.
+
+        Refreshes the entry's LRU position but counts neither a hit
+        nor a miss: the statistics describe submission lookups.
+        """
         fingerprint = self._by_digest.get(digest)
         if fingerprint is None:
             return None
-        return self.get(fingerprint)
+        self._entries.move_to_end(fingerprint)
+        return self._entries[fingerprint][0]
 
     def __len__(self) -> int:
         return len(self._entries)

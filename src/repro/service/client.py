@@ -1,19 +1,24 @@
 """A minimal polling client for the scenario service HTTP API.
 
-Used by the CI smoke test and ``examples/scenario_service.py``; a
-deliberate thin wrapper over :mod:`urllib.request` so it needs
-nothing the standard library does not ship.  The client understands
-the service's degradation vocabulary: 429/503 responses raise
+Used by the CI smoke test and the end-to-end benchmark.  It speaks
+HTTP/1.1 over persistent :mod:`http.client` connections and needs
+nothing the standard library does not ship.  A sequence of calls
+reuses one connection, so each call after the first pays neither a
+TCP handshake nor a new server handler thread.  Connections go
+straight to the host in ``base_url``: proxy environment variables
+such as ``http_proxy`` do not apply.  The client understands the
+service's degradation vocabulary: 429/503 responses raise
 :class:`ServiceError` carrying the parsed ``Retry-After`` hint, so a
 polite caller can honor the back-off the server asked for.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Any
 
 __all__ = ["ServiceError", "ServiceClient"]
@@ -42,17 +47,60 @@ class ServiceError(RuntimeError):
 class ServiceClient:
     """Talks to one :class:`~repro.service.http.ServiceHTTPServer`.
 
+    Calls reuse persistent connections.  A call takes an idle one (or
+    opens one), and hands it back once the response is fully read
+    unless the server asked to close it.  One client can therefore be
+    shared by several threads: concurrent calls run at the same time
+    on separate connections.  Release them with :meth:`close` or a
+    ``with`` block.  Connection failures raise :class:`OSError`.
+
     Args:
-        base_url: ``http://host:port`` of a running service.
+        base_url: ``http://host:port`` of a running service; ``https``
+            and a path prefix (``http://host/prefix``) also work.
         tenant: Tenant name attached to every request (``X-Tenant``).
         timeout: Socket timeout per request, wall-clock seconds.
+
+    Raises:
+        ValueError: ``base_url`` is not an ``http`` or ``https`` URL
+            with a host.
     """
 
     def __init__(self, base_url: str, tenant: str = "public",
                  timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
+        split = urllib.parse.urlsplit(self.base_url)
+        if split.scheme not in ("http", "https") or not split.hostname:
+            raise ValueError(f"base_url must be an http or https URL "
+                             f"with a host, got {base_url!r}")
         self.tenant = tenant
         self.timeout = timeout
+        self._connection_type = (http.client.HTTPSConnection
+                                 if split.scheme == "https"
+                                 else http.client.HTTPConnection)
+        self._host = split.hostname
+        self._port = split.port
+        self._prefix = split.path
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every idle connection.
+
+        Call it once no other thread is mid-call.  The client stays
+        usable: a later call opens a fresh connection.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        """Use the client in a ``with`` block; returns ``self``."""
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        """Close the client's connections on leaving the block."""
+        self.close()
 
     # ------------------------------------------------------------------
     # Transport
@@ -60,19 +108,41 @@ class ServiceClient:
     def _request(self, method: str, path: str,
                  body: str | None = None) -> tuple[int, dict[str, str],
                                                    str]:
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body.encode("utf-8") if body is not None else None,
-            method=method,
-            headers={"X-Tenant": self.tenant,
-                     "Content-Type": "application/json"})
+        payload = body.encode("utf-8") if body is not None else None
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is not None:
+            try:
+                return self._exchange(connection, method, path, payload)
+            except ConnectionError:
+                # The server closed this idle connection (its idle
+                # timeout, a restart) before it answered.  Resending
+                # once on a fresh connection is safe, even for a
+                # submission: results are keyed by spec fingerprint.
+                pass
+        connection = self._connection_type(self._host, self._port,
+                                           timeout=self.timeout)
+        return self._exchange(connection, method, path, payload)
+
+    def _exchange(self, connection: http.client.HTTPConnection,
+                  method: str, path: str, payload: bytes | None
+                  ) -> tuple[int, dict[str, str], str]:
+        """One request on ``connection``; pools it again if kept alive."""
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return (response.status, dict(response.headers),
-                        response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, dict(exc.headers), exc.read().decode("utf-8")
+            connection.request(method, self._prefix + path, body=payload,
+                               headers={"X-Tenant": self.tenant,
+                                        "Content-Type": "application/json"})
+            response = connection.getresponse()
+            text = response.read().decode("utf-8")
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response.status, dict(response.headers), text
 
     def _call(self, method: str, path: str,
               body: str | None = None) -> tuple[dict[str, str], str]:

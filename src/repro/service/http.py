@@ -29,12 +29,18 @@ Endpoints (all JSON; full semantics in ``docs/SERVICE.md``):
 
 Shed and rejected responses carry a ``Retry-After`` header mirroring
 the body's ``retry_after`` hint.
+
+Connections are persistent (HTTP/1.1 keep-alive).  A connection idle
+for :data:`IDLE_TIMEOUT_S` is closed, and :meth:`ServiceHTTPServer.stop`
+closes every open one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import socket
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -53,12 +59,27 @@ OPENMETRICS_TYPE = ("application/openmetrics-text; version=1.0.0; "
 #: from exhausting server memory.
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: Close a connection once a read or write on it has waited this many
+#: wall-clock seconds, so a quiet kept-alive client cannot pin a
+#: handler thread.  :class:`~repro.service.client.ServiceClient`
+#: reconnects when it finds its idle connection closed.
+IDLE_TIMEOUT_S = 15.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests into the owning :class:`ServiceHTTPServer`."""
 
     protocol_version = "HTTP/1.1"
+    # The headers and the body go out in two sends.  On a kept-alive
+    # connection Nagle's algorithm would hold the body back until the
+    # client's delayed ACK, ~40 ms per response.
+    disable_nagle_algorithm = True
     server: "_InnerServer"
+
+    def setup(self) -> None:
+        """Arm the idle timeout on the connection before the first read."""
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -70,7 +91,11 @@ class _Handler(BaseHTTPRequestHandler):
         return self.headers.get("X-Tenant") or None
 
     def _read_body(self) -> str | None:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        """The request body, or ``None`` (left unread) when its length
+        is missing, zero, not a decimal number or over the cap."""
+        declared = self.headers.get("Content-Length", "")
+        length = (int(declared)
+                  if declared.isascii() and declared.isdigit() else 0)
         if length <= 0 or length > MAX_BODY_BYTES:
             return None
         return self.rfile.read(length).decode("utf-8", errors="replace")
@@ -79,10 +104,15 @@ class _Handler(BaseHTTPRequestHandler):
               content_type: str = "application/json",
               retry_after: float = 0.0,
               digest: str | None = None,
-              digest_header: str = "X-Result-Digest") -> None:
+              digest_header: str = "X-Result-Digest",
+              close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets ``close_connection``: the handler hangs up
+            # after this response.
+            self.send_header("Connection", "close")
         if retry_after > 0:
             self.send_header("Retry-After",
                              str(int(math.ceil(retry_after))))
@@ -92,9 +122,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, status: int, payload: dict[str, Any],
-                   retry_after: float = 0.0) -> None:
+                   retry_after: float = 0.0, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(status, body, retry_after=retry_after)
+        self._send(status, body, retry_after=retry_after, close=close)
 
     def _send_outcome(self, outcome: SubmitOutcome,
                       raw_result: bool = False,
@@ -123,8 +153,12 @@ class _Handler(BaseHTTPRequestHandler):
         """Handle submissions: ``/v1/runs`` and ``/v1/sweeps``."""
         body = self._read_body()
         if body is None:
+            # Close the connection: the unread body would otherwise be
+            # parsed as the next request line.
             self._send_json(400, {"status": 400,
-                                  "error": "missing or oversized body"})
+                                  "error": "missing, malformed or "
+                                           "oversized body"},
+                            close=True)
             return
         bridge = self.server.bridge
         if self.path == "/v1/runs":
@@ -270,7 +304,12 @@ class _Bridge:
 
 
 class _InnerServer(ThreadingHTTPServer):
-    """The socket server, carrying the bridge for its handlers."""
+    """The socket server, carrying the bridge for its handlers.
+
+    It tracks its open connections (``socketserver`` does not track
+    daemon handler threads), so a stopped server can hang up on
+    kept-alive clients instead of answering them.
+    """
 
     daemon_threads = True
 
@@ -278,6 +317,29 @@ class _InnerServer(ThreadingHTTPServer):
                  bridge: _Bridge) -> None:
         super().__init__(address, _Handler)
         self.bridge = bridge
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: socket.socket,
+                        client_address: Any) -> None:
+        """Track the accepted connection, then serve it on a thread."""
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        """Forget the connection, then close it."""
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every open connection; its handler sees EOF."""
+        with self._open_lock:
+            open_now = list(self._open)
+        for request in open_now:
+            with contextlib.suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
 
 
 class ServiceHTTPServer:
@@ -345,10 +407,14 @@ class ServiceHTTPServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, drain the dispatcher, close the core."""
+        """Stop accepting, hang up on open connections, drain the
+        dispatcher, close the core."""
         self._stop.set()
         self._wake.set()
+        # Every accepted connection is tracked once the accept loop
+        # has returned.
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         for thread in self._threads:
             thread.join(timeout=5.0)

@@ -28,6 +28,18 @@ class TestResultCache:
         assert cache.by_digest("d1") == '{"r": 1}'
         assert cache.by_digest("ghost") is None
 
+    def test_by_digest_counts_no_lookup_but_refreshes_lru(self):
+        cache = ResultCache(capacity=2)
+        cache.put("a", "ra", "da")
+        cache.put("b", "rb", "db")
+        assert cache.by_digest("da") == "ra"   # refresh a; b is now LRU
+        assert cache.by_digest("ghost") is None
+        stats = cache.statistics()
+        assert (stats["hits"], stats["misses"]) == (0.0, 0.0)
+        cache.put("c", "rc", "dc")
+        assert "b" not in cache
+        assert "a" in cache
+
     def test_put_is_idempotent(self):
         cache = ResultCache()
         cache.put("fp", '{"r": 1}', "d1")

@@ -5,13 +5,18 @@ loopback socket on an ephemeral port, and the stdlib client wrapper —
 the same path ``python -m repro serve --inline`` exercises.
 """
 
+import http.client
 import json
+import statistics
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.service import (InlineExecutor, ScenarioService, ServiceClient,
                            ServiceConfig, ServiceError, ServiceHTTPServer)
+from repro.service import http as service_http
 
 from .conftest import service_spec
 
@@ -27,7 +32,48 @@ def server_fixture():
 
 @pytest.fixture(name="client")
 def client_fixture(server) -> ServiceClient:
-    return ServiceClient(server.address, tenant="pytest")
+    with ServiceClient(server.address, tenant="pytest") as client:
+        yield client
+
+
+def count_accepted(server: ServiceHTTPServer, monkeypatch) -> list:
+    """Record every connection ``server`` accepts from now on."""
+    inner = server._httpd
+    accept = inner.get_request
+    accepted = []
+
+    def counting():
+        request = accept()
+        accepted.append(request[1])
+        return request
+
+    monkeypatch.setattr(inner, "get_request", counting)
+    return accepted
+
+
+def fan_out(client: ServiceClient, threads: int, calls: int) -> list:
+    """``calls`` tenant lookups on each of ``threads`` threads sharing
+    ``client``; returns the failures (empty when every call answered
+    with its own tenant)."""
+    failures = []
+
+    def worker(index: int) -> None:
+        for call in range(calls):
+            tenant = f"t{index}-{call}"
+            try:
+                if client.tenant_stats(tenant)["tenant"] != tenant:
+                    failures.append(f"{tenant}: wrong response")
+            except Exception as exc:  # noqa: BLE001 - collected, asserted
+                failures.append(f"{tenant}: {exc!r}")
+
+    workers = [threading.Thread(target=worker, args=(index,))
+               for index in range(threads)]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "a client thread hung"
+    return failures
 
 
 class TestRunLifecycle:
@@ -125,7 +171,8 @@ class TestTelemetryRoutes:
                                   executor=InlineExecutor())
         server = ServiceHTTPServer(service).start()
         try:
-            yield ServiceClient(server.address, tenant="pytest")
+            with ServiceClient(server.address, tenant="pytest") as client:
+                yield client
         finally:
             server.stop()
 
@@ -165,13 +212,118 @@ class TestDegradation:
             executor=InlineExecutor())
         server = ServiceHTTPServer(service).start(dispatch=False)
         try:
-            client = ServiceClient(server.address, tenant="greedy")
-            assert client.submit(
-                service_spec(seed=1).to_json())["status"] == 202
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit(service_spec(seed=2).to_json())
+            with ServiceClient(server.address, tenant="greedy") as client:
+                assert client.submit(
+                    service_spec(seed=1).to_json())["status"] == 202
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(service_spec(seed=2).to_json())
             assert excinfo.value.status == 429
             assert excinfo.value.reason == "tenant-quota"
             assert excinfo.value.retry_after > 0
         finally:
             server.stop()
+
+
+class TestTransport:
+    def test_calls_share_one_connection(self, server, client, monkeypatch):
+        accepted = count_accepted(server, monkeypatch)
+        for _ in range(20):
+            assert client.health()["status"] == "ok"
+        assert len(accepted) == 1
+
+    def test_kept_alive_responses_are_not_delayed(self, client):
+        """Nagle plus delayed ACK would stall each response ~40 ms."""
+        client.health()
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            client.health()
+            latencies.append(time.perf_counter() - started)
+        assert statistics.median(latencies) < 0.020
+
+    def test_idle_connection_is_closed_and_replaced(self, server, client,
+                                                    monkeypatch):
+        monkeypatch.setattr(service_http, "IDLE_TIMEOUT_S", 0.2)
+        accepted = count_accepted(server, monkeypatch)
+        assert client.health()["status"] == "ok"
+        time.sleep(0.5)
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2
+
+    def test_stopped_server_stops_answering(self):
+        server = ServiceHTTPServer(ScenarioService(
+            ServiceConfig(), executor=InlineExecutor())).start()
+        with ServiceClient(server.address) as client:
+            assert client.health()["status"] == "ok"
+            server.stop()
+            with pytest.raises(OSError):
+                client.health()
+
+    def test_shared_client_across_threads(self, server, client,
+                                          monkeypatch):
+        accepted = count_accepted(server, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            failures = fan_out(client, threads=4, calls=25)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert 1 <= len(accepted) <= 4
+
+    def test_close_and_with_release_every_socket(self, server):
+        client = ServiceClient(server.address)
+        assert fan_out(client, threads=3, calls=5) == []
+        sockets = [connection.sock for connection in client._idle]
+        assert sockets
+        client.close()
+        assert all(sock.fileno() == -1 for sock in sockets)
+        with ServiceClient(server.address) as scoped:
+            scoped.health()
+            sockets = [connection.sock for connection in scoped._idle]
+        assert len(sockets) == 1 and sockets[0].fileno() == -1
+
+    def test_base_url_schemes_and_prefix(self, server):
+        for url in ("ftp://127.0.0.1:1", "127.0.0.1:8765", "http://"):
+            with pytest.raises(ValueError):
+                ServiceClient(url)
+        with ServiceClient(server.address + "/prefix/") as prefixed:
+            with pytest.raises(ServiceError) as excinfo:
+                prefixed.health()
+        assert excinfo.value.body["error"] == "no route /prefix/v1/health"
+        tls = server.address.replace("http://", "https://")
+        with ServiceClient(tls, timeout=2.0) as secure:
+            with pytest.raises(OSError):   # a TLS handshake, refused
+                secure.health()
+
+
+class TestRefusedBody:
+    """A refused request body must not poison a kept-alive connection."""
+
+    @pytest.fixture(name="connection")
+    def connection_fixture(self, server, monkeypatch):
+        monkeypatch.setattr(service_http, "MAX_BODY_BYTES", 16)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        yield connection
+        connection.close()
+
+    @staticmethod
+    def assert_refused(response: http.client.HTTPResponse) -> None:
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert json.loads(response.read())["status"] == 400
+
+    def test_non_numeric_length(self, connection):
+        connection.putrequest("POST", "/v1/runs")
+        connection.putheader("Content-Length", "abc")
+        connection.endheaders()
+        self.assert_refused(connection.getresponse())
+
+    def test_oversized_body_then_health(self, connection):
+        connection.request("POST", "/v1/runs", body=b"{" + b" " * 30 + b"}")
+        self.assert_refused(connection.getresponse())
+        connection.request("GET", "/v1/health")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"

@@ -81,6 +81,7 @@ def main() -> int:
     from repro.service import ServiceClient
 
     port = free_port()
+    client = ServiceClient(f"http://127.0.0.1:{port}", tenant="ci-smoke")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--inline",
          "--observe", "--port", str(port)],
@@ -88,8 +89,6 @@ def main() -> int:
         text=True)
     try:
         print(wait_for_boot(process))
-        client = ServiceClient(f"http://127.0.0.1:{port}",
-                               tenant="ci-smoke")
         spec_json = SPEC_PATH.read_text(encoding="utf-8")
 
         outcome = client.submit(spec_json)
@@ -126,6 +125,7 @@ def main() -> int:
         print(f"openmetrics scrape valid ({samples} samples, both "
               f"planes present)")
     finally:
+        client.close()
         process.send_signal(signal.SIGTERM)
         try:
             process.wait(timeout=15.0)
