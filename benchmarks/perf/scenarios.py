@@ -191,10 +191,7 @@ def digest_event_core(event_count: int, seed: int = 0) -> dict:
     """Step-driven digest of the event core's exact timing sequence."""
     sim = _build_event_core(event_count, seed)
     trace: list[float] = []
-    record = trace.append
-    while sim.peek() != float("inf"):
-        sim.step()
-        record(sim.now)
+    sim.advance_until(float("inf"), before_step=trace.append)
     outcome = {
         "events_processed": sim.events_processed,
         "sim_time": sim.now,

@@ -10,8 +10,6 @@ large-scale runs.  :class:`CapacityIndex` answers both incrementally:
 - per-cluster free/used core counters maintained from machine watcher
   notifications (O(1) per allocate/release, O(cluster) per
   failure/repair, which are rare);
-- a :meth:`candidates` iterator that skips entire clusters whose free
-  cores cannot satisfy a task before touching any machine;
 - a :class:`CapacityVectors` view — numpy arrays of per-machine free
   cores and free memory, maintained as an exact mirror of the machine
   counters — on which vectorized placement policies evaluate a whole
@@ -31,17 +29,13 @@ can match it.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..workload.task import Task
+import numpy as _np
+
 from . import cluster as _topology
 from .cluster import Cluster
 from .machine import Machine
-
-try:  # numpy backs the vectorized placement view; the scalar
-    import numpy as _np  # candidates() path below works without it.
-except ImportError:  # pragma: no cover - exercised via stubbed tests
-    _np = None
 
 __all__ = ["CapacityIndex", "CapacityVectors"]
 
@@ -106,7 +100,6 @@ class CapacityVectors:
                  "_mask_a", "_mask_b")
 
     def __init__(self, machines: tuple[Machine, ...]) -> None:
-        assert _np is not None
         n = len(machines)
         self.machines = machines
         self.cores_free = _np.empty(n, dtype=_np.int64)
@@ -204,9 +197,8 @@ class CapacityIndex:
         self._available_cache: tuple[Machine, ...] | None = None
         self._available_cache_epoch = -1
         self._topology_version = -1
-        #: Numpy capacity mirror; ``None`` when numpy is unavailable,
-        #: in which case callers fall back to :meth:`candidates`.
-        self.vectors: CapacityVectors | None = None
+        #: Numpy capacity mirror, rebuilt with the topology.
+        self.vectors: CapacityVectors
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -228,8 +220,7 @@ class CapacityIndex:
                 self._machine_cluster[machine.name] = entry
             machines.extend(entry.machines)
         self._machines = tuple(machines)
-        self.vectors = (CapacityVectors(self._machines)
-                        if _np is not None else None)
+        self.vectors = CapacityVectors(self._machines)
         self.availability_epoch += 1
         self.release_epoch += 1
         self._available_cache = None
@@ -270,20 +261,18 @@ class CapacityIndex:
             # A release (or a zero-delta memory-reservation change) may
             # have grown capacity; invalidate carried failure proofs.
             self.release_epoch += 1
-        if self.vectors is not None:
-            self.vectors.refresh(machine)
+        self.vectors.refresh(machine)
 
     def machine_availability(self, machine: Machine) -> None:
         """``machine`` flipped availability (fail/repair/decommission)."""
         entry = self._machine_cluster.get(machine.name)
         if entry is not None:
             entry.recount()
-        if self.vectors is not None:
-            self.vectors.refresh(machine)
+        self.vectors.refresh(machine)
         self.availability_epoch += 1
         self.release_epoch += 1
 
-    def sync(self) -> CapacityVectors | None:
+    def sync(self) -> CapacityVectors:
         """Run the topology staleness check once and return the vectors.
 
         The scheduler calls this at the top of each epoch so the
@@ -291,7 +280,7 @@ class CapacityIndex:
         paying the per-query topology scan.  Topology can only change
         between events, never inside a synchronous scheduling round, so
         one check per round gives the same guarantee the per-query
-        check gives the scalar paths.
+        check gives the other queries.
         """
         self._check_topology()
         return self.vectors
@@ -336,10 +325,6 @@ class CapacityIndex:
         whatever the placement policy.
         """
         self._check_topology()
-        if self.vectors is None:
-            return max((machine.cores_free
-                        for machine in self.available_machines()),
-                       default=-1)
         cores_free = self.vectors.cores_free
         return int(cores_free.max()) if cores_free.size else -1
 
@@ -354,32 +339,3 @@ class CapacityIndex:
         self._check_topology()
         entry = self._by_cluster.get(id(cluster))
         return entry.used_cores if entry is not None else 0
-
-    def candidates(self, task: Task) -> Iterator[Machine]:
-        """Machines that can fit ``task`` right now, in topology order.
-
-        Equivalent to ``[m for m in available_machines() if
-        m.can_fit(task)]`` but skips whole clusters whose free-core
-        counter already rules them out.
-        """
-        self._check_topology()
-        cores = task.cores
-        memory = task.memory
-        for entry in self._entries:
-            if entry.free_cores < cores:
-                continue
-            for machine in entry.machines:
-                if machine._available:
-                    spec = machine.spec
-                    if (cores <= spec.cores - machine._cores_used
-                            and memory <= (spec.memory
-                                           - machine._alloc_memory
-                                           - machine._reserved_memory)
-                            + 1e-12):
-                        yield machine
-
-    def has_candidate(self, task: Task) -> bool:
-        """Whether at least one machine can fit ``task`` right now."""
-        for _ in self.candidates(task):
-            return True
-        return False

@@ -13,8 +13,8 @@ on at once:
   trees over simulated time;
 - ``observer.metrics`` is the shared
   :class:`~repro.observability.metrics.MetricsRegistry`;
-- ``observer.profiler`` (optional) makes ``Simulator.run``/``step``
-  attribute per-subsystem cost.
+- ``observer.profiler`` (optional) makes ``Simulator.step`` attribute
+  per-subsystem cost, whoever drives the run.
 
 Determinism: with a fixed seed, traces and metrics snapshots are
 byte-identical across runs; the profiler's wall-clock figures are the

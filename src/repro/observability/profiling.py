@@ -15,8 +15,8 @@ classifying the owning process name against prefix rules ("exec-" is
 the datacenter, "faas-" the serverless platform, ...).  The simulator
 only pays for any of this while an
 :class:`~repro.observability.observer.Observer` with profiling enabled
-is attached: :meth:`repro.sim.Simulator.run` dispatches to a separate
-instrumented loop, so the disabled-by-default hot path is untouched.
+is attached: :meth:`repro.sim.Simulator.step` then attributes each
+event it delivers, so the profile is the same whoever drives the run.
 
 :meth:`SubsystemProfiler.report` deliberately returns only the
 deterministic columns (event counts and simulated time) so it can sit
@@ -71,9 +71,9 @@ class SubsystemProfiler:
                  ) -> None:
         self.rules = tuple(rules)
         self._buckets: dict[str, _Bucket] = {}
-        #: Total wall-clock seconds spent inside instrumented
-        #: ``Simulator.run`` calls (includes kernel overhead the
-        #: per-callback timers cannot see).
+        #: Total wall-clock seconds spent inside ``Simulator.run``
+        #: calls made while this profiler was attached (includes
+        #: kernel overhead the per-callback timers cannot see).
         self.run_wall_time = 0.0
         self._cache: dict[str, str] = {}
 
@@ -103,7 +103,7 @@ class SubsystemProfiler:
         bucket.wall_time += wall_dt
 
     def record_run_wall(self, seconds: float) -> None:
-        """Account one instrumented ``run()`` call's total wall time."""
+        """Account one profiled ``run()`` call's total wall time."""
         self.run_wall_time += seconds
 
     # ------------------------------------------------------------------

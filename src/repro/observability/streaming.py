@@ -221,11 +221,13 @@ class StreamingPipeline:
     def advance(self, now: float) -> int:
         """Evaluate every tick due at or before ``now``; returns how many.
 
-        Call between simulator events (with ``now = sim.peek()`` before
-        each ``step()``, and ``now = sim.now`` once drained): each due
-        tick then observes exactly the registry state left by events
-        processed before its timestamp, matching what a scheduled tick
-        event would have seen.
+        Call between simulator events (as the ``before_step`` hook of
+        :meth:`~repro.sim.engine.Simulator.advance_until`, which passes
+        each event's time before its ``step()``, and with
+        ``now = sim.now`` once drained): each due tick then observes
+        exactly the registry state left by events processed before its
+        timestamp, matching what a scheduled tick event would have
+        seen.
         """
         fired = 0
         while self._next_tick <= now + _TIME_EPS:

@@ -9,11 +9,13 @@ single composition root they now share: it builds a
 *fixed construction order* so that refactoring an entry point onto the
 kernel preserves its determinism digests bit for bit.
 
-The drive loop is the one introduced by the chaos harness: step the
-simulator to event exhaustion (bounded by ``duration``/``max_time``)
-without the clock jump that ``run(until=...)`` performs on an early
-drain, advancing streaming telemetry *externally* so observation can
-never perturb the event order.
+A run advances through the kernel's one loop,
+:meth:`~repro.sim.engine.Simulator.advance_until`: to event exhaustion
+(bounded by ``duration``/``max_time``) without the clock jump that
+``run(until=...)`` performs on an early drain, advancing streaming
+telemetry from the loop's ``before_step`` hook so observation can
+never perturb the event order.  A shard harness drives the same
+window and tail epoch by epoch.
 """
 
 from __future__ import annotations
@@ -83,47 +85,60 @@ class ScenarioRuntime:
     # Execution
     # ------------------------------------------------------------------
     def drive(self, trace: list[float] | None = None) -> None:
-        """Step the run to completion.
+        """Step the run to completion: :meth:`advance` then :meth:`settle`.
 
         Runs to event exhaustion bounded by ``duration`` (when set) or
         ``max_time``, *without* the clock jump to the stop time that
         ``Simulator.run(until=...)`` performs on an early drain — the
-        availability denominator is the actual elapsed time.  Streaming
-        telemetry ticks are driven externally (``advance``) rather than
-        as sim events, so observation can never keep a drained
-        simulation alive or perturb its event order.
+        availability denominator is the actual elapsed time.
 
         Args:
-            trace: Optional list; when given, ``sim.now`` is appended
-                after every step — the event-time trace the perf
-                harness digests to pin exact event ordering.
+            trace: Optional list; when given, every event's time is
+                appended as it is processed — the event-time trace the
+                perf harness digests to pin exact event ordering.
         """
         if self._driven:
             raise RuntimeError("this runtime was already driven; "
                                "build a fresh one per run")
         self._driven = True
-        sim = self.sim
+        self.advance(float("inf"), trace=trace)
+        self.settle()
+
+    def advance(self, stop: float, trace: list[float] | None = None) -> int:
+        """Process this run's events strictly before ``stop``.
+
+        One :meth:`~repro.sim.engine.Simulator.advance_until` window,
+        capped at ``duration`` (when set) or ``max_time``.  Streaming
+        telemetry ticks are driven from its ``before_step`` hook rather
+        than as sim events, so observation can never keep a drained
+        simulation alive or perturb its event order.  :meth:`drive`
+        opens one unbounded window; a shard harness opens one per
+        epoch.  Returns the number of events processed.
+        """
         bound = self.duration if self.duration is not None else self.max_time
+        record = trace.append if trace is not None else None
         if self.engine is None:
-            if trace is None:
-                while sim.peek() <= bound:
-                    sim.step()
-            else:
-                record = trace.append
-                while sim.peek() <= bound:
-                    sim.step()
-                    record(sim.now)
+            hook = record
+        elif record is None:
+            hook = self.engine.pipeline.advance
         else:
-            pipeline = self.engine.pipeline
-            record = trace.append if trace is not None else None
-            while (when := sim.peek()) <= bound:
-                pipeline.advance(when)
-                sim.step()
-                if record is not None:
-                    record(sim.now)
+            telemetry = self.engine.pipeline.advance
+
+            def hook(when: float) -> None:
+                telemetry(when)
+                record(when)
+        return self.sim.advance_until(stop, bound=bound, before_step=hook)
+
+    def settle(self) -> None:
+        """Close the run after its last window.
+
+        An explicit ``duration`` fixes the observation window, so the
+        clock jumps to it (no events remain at or before it); streaming
+        telemetry then advances to the final clock.
+        """
+        self._driven = True
+        sim = self.sim
         if self.duration is not None and sim.now < self.duration:
-            # An explicit duration fixes the observation window: jump
-            # the clock to it (no events remain at or before it).
             sim.run(until=self.duration)
         if self.engine is not None:
             self.engine.pipeline.advance(sim.now)

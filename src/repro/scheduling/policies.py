@@ -36,13 +36,10 @@ from __future__ import annotations
 import random
 from typing import Protocol, Sequence
 
+import numpy as _np
+
 from ..datacenter.machine import Machine
 from ..workload.task import Task
-
-try:  # the scalar reference paths below work without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via stubbed tests
-    _np = None
 
 __all__ = [
     "QueuePolicy",
@@ -564,15 +561,12 @@ _VECTOR_PLACEMENTS = {
 def vectorized_placement(policy: PlacementPolicy):
     """Vectorized kernel of ``policy``, or ``None``.
 
-    ``None`` (numpy missing, or an unknown/subclassed policy) sends the
-    scheduler down the reference ``select()`` path.  Matches on exact
-    type: subclasses may override ``select``, so they must not inherit
-    the kernel.  A kernel is called as ``kernel(policy, task, index)``
-    with ``index`` a :class:`~repro.datacenter.capacity.CapacityIndex`
-    whose ``vectors`` view is non-``None``.
+    ``None`` (an unknown or subclassed policy) sends the scheduler down
+    the reference ``select()`` path.  Matches on exact type: subclasses
+    may override ``select``, so they must not inherit the kernel.  A
+    kernel is called as ``kernel(policy, task, index)`` with ``index``
+    a :class:`~repro.datacenter.capacity.CapacityIndex`.
     """
-    if _np is None:
-        return None
     return _VECTOR_PLACEMENTS.get(type(policy))
 
 

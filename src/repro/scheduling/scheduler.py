@@ -119,10 +119,8 @@ class ClusterScheduler:
         #: Placement policy the vectorized kernel was resolved for
         #: (identity-compared each round, like ``_order_source``).
         self._placement_source: PlacementPolicy | None = None
+        #: ``None`` sends ``_select_machine`` down ``select()``.
         self._placement_kernel = None
-        #: CapacityIndex to hand the kernel this round; ``None`` sends
-        #: ``_select_machine`` down the scalar reference path.
-        self._round_capacity = None
         #: Largest free core count the queue walk may still place
         #: (``_fit_limit``); unbounded where the walk must reach the
         #: first blocked task, ``None`` until read after a placement.
@@ -273,10 +271,7 @@ class ClusterScheduler:
         # One topology check per round covers every kernel call and
         # fit-limit read inside it: topology can only change between
         # events, never inside a synchronous round.
-        vectors = capacity.sync()
-        self._round_capacity = (
-            capacity if (self._placement_kernel is not None
-                         and vectors is not None) else None)
+        capacity.sync()
         epoch = capacity.release_epoch
         if epoch != self._failed_epoch:
             # Something was freed since the failures were proven (or
@@ -318,14 +313,11 @@ class ClusterScheduler:
         return self._limit
 
     def _select_machine(self, task: Task) -> Machine | None:
-        """Placement via the vectorized kernel, else the scalar path."""
-        capacity = self._round_capacity
-        if capacity is not None:
-            return self._placement_kernel(self.placement_policy, task,
-                                          capacity)
-        if type(self.placement_policy) is FirstFit:
-            # Cluster-skipping scalar fast path (no numpy available).
-            return next(self.datacenter.capacity.candidates(task), None)
+        """Placement via the vectorized kernel, else ``select()``."""
+        kernel = self._placement_kernel
+        if kernel is not None:
+            return kernel(self.placement_policy, task,
+                          self.datacenter.capacity)
         return self.placement_policy.select(
             task, self.datacenter.available_machines())
 

@@ -16,9 +16,9 @@ with:
   order without one.  :meth:`walk` merges the group heads lazily in
   service order and can drop every group whose core demand exceeds a
   caller-supplied limit, so a scheduling round visits the tasks the
-  free capacity could hold instead of the whole backlog.  Full rebuilds
-  (policy swaps on a deep backlog) go through a numpy ``lexsort`` over
-  the preextracted key columns instead of a Python ``sorted()``.
+  free capacity could hold instead of the whole backlog.  A full
+  rebuild (first round, or a policy swap) is one ``sort()`` of the
+  live entries, paid once per swap rather than once per round.
 
 Order semantics are exactly those of the old list: iteration yields
 live tasks in insertion order, and the unbounded walk equals
@@ -35,57 +35,15 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from ..workload.task import Task
 
-try:  # optional: accelerates full rebuilds of the sorted groups
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via stubbed tests
-    _np = None
-
 __all__ = ["TaskQueue"]
 
 #: Sweep dead entries once they outnumber live ones beyond this floor.
 _COMPACT_FLOOR = 64
 
-#: Full rebuilds switch from sorted() to a numpy lexsort over the key
-#: columns at this size.
-_LEXSORT_FLOOR = 256
-
 
 def _insertion_key(task: Task) -> tuple:
     """Sort key without a queue policy: ``(key, seq)`` is then ``seq``."""
     return ()
-
-
-def _sort_items(items: list[tuple]) -> list[tuple]:
-    """Sort ``(key, seq, entry)`` items, vectorizing large rebuilds.
-
-    Keys are tuples of uniform width whose components are numeric
-    (in-tree policy keys are floats and small ints, all exact in
-    float64; keys embed ``task_id``, so they are unique and ties cannot
-    arise).  A lexsort over the transposed key columns therefore
-    produces exactly ``sorted(items)``.  Anything that does not fit
-    that shape — ragged widths, non-numeric components, huge ints —
-    falls back to ``sorted()``.
-    """
-    if _np is None or len(items) < _LEXSORT_FLOOR:
-        return sorted(items)
-    width = len(items[0][0])
-    keys = [item[0] for item in items]
-    if any(len(key) != width for key in keys):
-        return sorted(items)
-    try:
-        columns = [_np.asarray(column, dtype=_np.float64)
-                   for column in zip(*keys)]
-    except (TypeError, ValueError, OverflowError):
-        return sorted(items)
-    for column, raw in zip(columns, zip(*keys)):
-        # Refuse lossy conversions (e.g. ints beyond 2**53): a
-        # collapsed column could reorder ties differently than
-        # sorted() would.
-        if any(stored != original
-               for stored, original in zip(column.tolist(), raw)):
-            return sorted(items)
-    order = _np.lexsort(columns[::-1])
-    return [items[i] for i in order]
 
 
 class _Entry:
@@ -203,7 +161,7 @@ class TaskQueue:
         items = [(self._key(entry.task), entry.seq, entry)
                  for entry in self._entries if entry.alive]
         if key is not None:
-            items = _sort_items(items)
+            items.sort()
         groups: dict[int, _Group] = {}
         for item in items:
             cores = item[2].task.cores

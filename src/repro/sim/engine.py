@@ -138,8 +138,8 @@ class Simulator:
         self.events_processed = 0
         #: Optional :class:`~repro.observability.observer.Observer`.
         #: ``None`` (the default) keeps every instrumented code path —
-        #: including the hot event loop, which dispatches on this once
-        #: per ``run()`` call — at its uninstrumented cost.
+        #: including :meth:`step`, which checks it for a profiler once
+        #: per event — at its uninstrumented cost.
         self.observer: Any = None
 
     @property
@@ -189,7 +189,7 @@ class Simulator:
         keep an otherwise-drained simulation alive.  Returns the tick
         :class:`Process` (interrupt it to cancel early).
         """
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError(f"interval must be positive, got {interval}")
 
         def _ticks():
@@ -259,15 +259,16 @@ class Simulator:
 
     def advance_until(self, stop: float, bound: float | None = None,
                       before_step: Any = None) -> int:
-        """Process events strictly before ``stop`` (the shard run loop).
+        """Process events strictly before ``stop``: the kernel's run loop.
 
-        The conservative-coupling window: every event with time in
-        ``[now, stop)`` — and, when ``bound`` is given, at most
-        ``bound`` — is processed via :meth:`step`, so observer and
-        profiler semantics match a plain drive loop exactly.  The
-        strict upper edge is what makes epoch windows composable:
-        a message delivered *at* ``stop`` belongs to the next window
-        on every shard, regardless of how the windows were cut.
+        Every way of advancing time goes through here — :meth:`run`,
+        a scenario's drive, and each shard's epoch window.  Every event
+        with time in ``[now, stop)`` — and, when ``bound`` is given, at
+        most ``bound`` — is processed via :meth:`step`, so observer and
+        profiler semantics are the same whoever drives.  The strict
+        upper edge is what makes epoch windows composable: a message
+        delivered *at* ``stop`` belongs to the next window on every
+        shard, regardless of how the windows were cut.
 
         Args:
             stop: Exclusive upper edge of the window (``inf`` runs to
@@ -281,6 +282,10 @@ class Simulator:
         Returns:
             The number of events processed.
         """
+        if stop != stop or bound != bound:
+            raise ValueError(
+                f"cannot advance to stop={stop}, bound={bound}: "
+                f"NaN is not a time")
         queue = self._queue
         processed = 0
         while queue:
@@ -312,7 +317,7 @@ class Simulator:
             The scheduled delivery event.
         """
         delay = when - self._now
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(
                 f"cannot inject at {when} (now={self._now}); conservative "
                 f"coupling must deliver messages in the future")
@@ -324,100 +329,36 @@ class Simulator:
         """Run until the queue drains, until a time, or until an event.
 
         ``until`` may be ``None`` (run to exhaustion), a number (run up to
-        and including that time), or an :class:`Event` (run until it is
-        processed, returning its value).
+        and including that time, then set the clock to it), or an
+        :class:`Event` (run until it is processed, returning its value
+        or raising its exception).  Time-bounded runs go through
+        :meth:`advance_until`; every event is delivered by :meth:`step`.
         """
-        stop_event: Event | None = None
         stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.processed:
-                return stop_event.value
-        elif until is not None:
+        if until is not None and not isinstance(until, Event):
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:
                 raise ValueError(
-                    f"until={stop_time} lies in the past (now={self._now})")
-
+                    f"until={until!r} is not a time at or after now "
+                    f"({self._now})")
         observer = self.observer
-        if observer is not None and observer.profiler is not None:
-            return self._run_profiled(stop_event, stop_time,
-                                      observer.profiler)
-
-        # Hot loop: equivalent to repeated step() calls, with the heap,
-        # the heappop function, and the callback sentinel held in locals
-        # so the per-event cost is a handful of bytecode ops.
-        queue = self._queue
-        heappop = heapq.heappop
-        no_callbacks = NO_CALLBACKS
-        processed = 0
+        profiler = observer.profiler if observer is not None else None
+        started = perf_counter()
         try:
-            while queue:
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now, _, event = heappop(queue)
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks is not no_callbacks:
-                    if type(callbacks) is list:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        callbacks(event)
-                processed += 1
-                if event._ok is False and not event.defused:
-                    # A failure nobody waited for must not pass silently.
-                    raise event._exception  # type: ignore[misc]
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event.ok:
-                        raise stop_event.value
-                    return stop_event.value
+            if isinstance(until, Event):
+                while not until.processed:
+                    if not self._queue:
+                        raise SimulationError(
+                            "simulation ran out of events before the "
+                            f"awaited event {until!r} triggered")
+                    self.step()
+                if not until.ok:
+                    raise until.value
+                return until.value
+            self.advance_until(float("inf"), bound=stop_time)
+            if stop_time != float("inf"):
+                self._now = stop_time
+            return None
         finally:
-            self.events_processed += processed
-
-        if stop_event is not None and not stop_event.processed:
-            raise SimulationError(
-                "simulation ran out of events before the awaited event "
-                f"{stop_event!r} triggered")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_profiled(self, stop_event: Event | None, stop_time: float,
-                      profiler) -> Any:
-        """The ``run()`` loop with per-subsystem cost attribution.
-
-        Semantically identical to the fast loop (same event order, same
-        stop conditions, same failure propagation); it only adds the
-        profiler's book-keeping, so runs with and without an observer
-        produce bit-identical simulation outcomes.
-        """
-        queue = self._queue
-        processed = 0
-        run_started = perf_counter()
-        try:
-            while queue:
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                event = self._step_profiled(profiler)
-                processed += 1
-                if event._ok is False and not event.defused:
-                    # A failure nobody waited for must not pass silently.
-                    raise event._exception  # type: ignore[misc]
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event.ok:
-                        raise stop_event.value
-                    return stop_event.value
-        finally:
-            self.events_processed += processed
-            profiler.record_run_wall(perf_counter() - run_started)
-
-        if stop_event is not None and not stop_event.processed:
-            raise SimulationError(
-                "simulation ran out of events before the awaited event "
-                f"{stop_event!r} triggered")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
+            if profiler is not None:
+                profiler.record_run_wall(perf_counter() - started)

@@ -166,8 +166,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be non-negative, got {delay}")
         # Inlined Event.__init__ plus immediate triggering: timeouts are
         # the hot path of every process loop, so they skip the generic
         # succeed() machinery entirely.

@@ -191,8 +191,9 @@ class ShardHarness:
     datacenter diverts plain tasks into the outbox), message injection
     (delegated tasks and acknowledgements arrive as future events via
     :meth:`~repro.sim.engine.Simulator.inject`), and windowed
-    advancement (:meth:`~repro.sim.engine.Simulator.advance_until`
-    bounded by the epoch barrier).
+    advancement (the runtime's own
+    :meth:`~repro.scenario.runtime.ScenarioRuntime.advance` window,
+    ending at the epoch barrier).
     """
 
     def __init__(self, spec: "ScenarioSpec", shard: "ShardSpec",
@@ -224,9 +225,6 @@ class ShardHarness:
                                   shard.offload.threshold)
                       if shard.offload is not None else None)
         self.runtime.scheduler.on_task_complete.append(self._on_complete)
-        self._bound = (self.runtime.duration
-                       if self.runtime.duration is not None
-                       else self.runtime.max_time)
         self._finished = False
 
     # -- outbound -------------------------------------------------------
@@ -295,32 +293,25 @@ class ShardHarness:
 
     def advance(self, stop: float) -> int:
         """Process local events strictly before the window end."""
-        engine = self.runtime.engine
-        before = engine.pipeline.advance if engine is not None else None
-        return self.runtime.sim.advance_until(stop, bound=self._bound,
-                                              before_step=before)
+        return self.runtime.advance(stop)
 
     # -- completion -----------------------------------------------------
     def finish(self) -> dict:
         """Settle the run and compile the shard's wire payload.
 
-        Replicates the tail of
-        :meth:`~repro.scenario.runtime.ScenarioRuntime.drive` (the
-        duration clock jump and final telemetry advance), finalizes,
-        and returns the result JSON, optional telemetry snapshot JSON
-        (run id ``shard-<name>``), and the cross-shard accounting the
-        merge needs — all plain data, safe to ship over a pipe.
+        Closes the run exactly as
+        :meth:`~repro.scenario.runtime.ScenarioRuntime.drive` does
+        (:meth:`~repro.scenario.runtime.ScenarioRuntime.settle`),
+        finalizes, and returns the result JSON, optional telemetry
+        snapshot JSON (run id ``shard-<name>``), and the cross-shard
+        accounting the merge needs — all plain data, safe to ship over
+        a pipe.
         """
         if self._finished:
             raise RuntimeError(f"shard {self.name!r} was already finished")
         self._finished = True
         runtime = self.runtime
-        sim = runtime.sim
-        runtime._driven = True
-        if runtime.duration is not None and sim.now < runtime.duration:
-            sim.run(until=runtime.duration)
-        if runtime.engine is not None:
-            runtime.engine.pipeline.advance(sim.now)
+        runtime.settle()
         runtime.finalize()
         observer = runtime.observer
         if not self._declared:

@@ -1,10 +1,15 @@
 """Profiler tests: classification rules and run-loop attribution."""
 
+from pathlib import Path
+
 from repro.observability import Observer, SubsystemProfiler
 from repro.datacenter import Datacenter, MachineSpec, homogeneous_cluster
+from repro.scenario import ScenarioSpec
 from repro.scheduling import ClusterScheduler
 from repro.sim import Simulator
 from repro.workload import Task
+
+SPEC_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 def test_default_classification_rules():
@@ -64,7 +69,7 @@ def test_profiled_report_is_deterministic_across_runs():
 
 
 def test_profiled_run_matches_unprofiled_outcome():
-    """The instrumented loop must not change simulation results."""
+    """Profiled steps must not change simulation results."""
     _, profiled, _ = _run_scenario(profiling=True)
     _, plain, _ = _run_scenario(profiling=False)
     assert profiled.statistics() == plain.statistics()
@@ -86,3 +91,25 @@ def test_step_dispatches_to_profiler():
     report = observer.profiler.report()
     assert report["datacenter"]["events"] >= 3.0
     assert sim.now == 3.0
+
+
+def test_profile_is_the_same_whoever_drives():
+    """Attribution lives in ``step()``, so run() and drive() agree.
+
+    The spec declares no ``slos``: only ``drive()`` advances streaming
+    telemetry, so with objectives the two runs would differ by design.
+    """
+    spec = ScenarioSpec.from_json(
+        (SPEC_DIR / "chaos_baseline.json").read_text())
+    assert spec.slos is None
+    outcomes = []
+    for drive in (lambda runtime: runtime.sim.run(),
+                  lambda runtime: runtime.drive()):
+        observer = Observer(profiling=True)
+        runtime = spec.build(observer=observer)
+        drive(runtime)
+        runtime.finalize()
+        outcomes.append((observer.profiler.report(), runtime.result()))
+    (run_profile, run_result), (drive_profile, drive_result) = outcomes
+    assert run_profile and run_profile == drive_profile
+    assert run_result.to_dict() == drive_result.to_dict()

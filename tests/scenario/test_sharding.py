@@ -237,6 +237,47 @@ def test_epoch_and_partition_invariance(partition, epoch_fraction):
 
 
 # ---------------------------------------------------------------------------
+# Oracle: one shard with no links runs exactly like no shards at all
+# ---------------------------------------------------------------------------
+
+#: Gallery specs for the oracle, with the overrides each run applies.
+#: The autoscaled run needs a ``duration``: without one its controller
+#: would keep ticking to ``max_time``.
+ORACLE_SPECS = {
+    "telemetry": ("chaos_slo.json", {}),
+    "workflow": ("montage_small_scenario.json", {}),
+    "autoscaled": ("chaos_baseline.json", {
+        "scheduler.backfilling": True,
+        "autoscaler": {"policy": "react", "interval": 10.0},
+        "duration": 150.0}),
+}
+
+
+@pytest.mark.parametrize("epoch", [None, 2.0], ids=["lookahead", "epoch2"])
+@pytest.mark.parametrize("case", sorted(ORACLE_SPECS))
+def test_one_shard_equals_no_shards(case, epoch):
+    """The epoch loop reproduces the plain drive loop exactly.
+
+    A one-shard plan without links has nothing to couple, so its
+    shard result must equal the byte-for-byte result of running the
+    shard's own single-region spec through ``ScenarioSpec.run()`` —
+    whether the shard advances in one window or in 2-second epochs.
+    """
+    filename, overrides = ORACLE_SPECS[case]
+    spec = ScenarioSpec.from_json((SPEC_DIR / filename).read_text())
+    plan = {"shards": [{"name": "solo", "clusters": [
+        cluster.name for cluster in spec.topology.clusters]}], "links": []}
+    overrides = dict(overrides)
+    if epoch is not None:
+        plan["epoch"] = epoch
+        overrides["duration"] = 150.0
+    sharded = spec.override({**overrides, "shards": plan})
+    result = sharded.run()
+    plain = sharded.shard_subspec(sharded.shards.shards[0]).run()
+    assert result.shards["by_shard"]["solo"]["result"] == plain.to_dict()
+
+
+# ---------------------------------------------------------------------------
 # Golden: the planet-scale gallery spec is pinned
 # ---------------------------------------------------------------------------
 

@@ -306,3 +306,46 @@ def test_nested_process_chains():
     process = sim.process(middle(sim))
     assert sim.run(until=process) == 30
     assert sim.now == 3.0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda sim: sim.run(until=NAN),
+    lambda sim: sim.timeout(NAN),
+    lambda sim: sim.every(NAN, lambda now: None),
+    lambda sim: sim.inject(NAN, lambda event: None),
+    lambda sim: sim.advance_until(NAN),
+], ids=["run-until", "timeout", "every", "inject", "advance-until"])
+def test_nan_times_are_rejected(call):
+    sim = Simulator()
+
+    def ticker(sim):
+        for _ in range(5):
+            yield sim.timeout(1.0)
+
+    sim.process(ticker(sim))
+    with pytest.raises(ValueError, match="nan") as excinfo:
+        call(sim)
+    assert "past" not in str(excinfo.value)
+    # Nothing ran and nothing was queued: the clock stays a number.
+    assert sim.now == 0.0
+    sim.run()
+    assert sim.now == 5.0
+
+
+def test_failed_process_raises_on_every_run_until_it():
+    sim = Simulator()
+
+    def doomed(sim):
+        yield sim.timeout(1.0)
+        raise RuntimeError("boom")
+
+    process = sim.process(doomed(sim))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=process)
+    # The process is already processed; waiting on it again must raise
+    # its exception again, not hand the exception back as a value.
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=process)
