@@ -48,7 +48,6 @@ class AutoscalingController:
         self.autoscaler = autoscaler
         self.interval = interval
         self.soon_eligible = soon_eligible or (lambda: 0)
-        self._machines = datacenter.machines()
         self._demand_points: list[tuple[float, float]] = []
         self._supply_points: list[tuple[float, float]] = []
         self._stopped = False
@@ -63,38 +62,18 @@ class AutoscalingController:
     # ------------------------------------------------------------------
     def _snapshot(self) -> AutoscalerInput:
         queue = self.scheduler.queue
-        cores_per_machine = (self._machines[0].spec.cores
-                             if self._machines else 1)
+        capacity = self.datacenter.capacity
+        machines = capacity.machines()
         return AutoscalerInput(
             time=self.sim.now,
-            queued_cores=sum(t.cores for t in queue),
-            running_cores=sum(m.cores_used for m in self._machines),
+            queued_cores=queue.cores,
+            running_cores=capacity.used_cores_total(),
             eligible_tasks=len(queue),
             soon_eligible_tasks=self.soon_eligible(),
-            machines=sum(1 for m in self._machines if m.available),
-            cores_per_machine=cores_per_machine,
-            max_machines=len(self._machines),
+            machines=capacity.available_count(),
+            cores_per_machine=machines[0].spec.cores if machines else 1,
+            max_machines=len(machines),
         )
-
-    def _apply(self, target: int) -> None:
-        target = max(0, min(target, len(self._machines)))
-        available = [m for m in self._machines if m.available]
-        if len(available) < target:
-            for machine in self._machines:
-                if not machine.available:
-                    self.datacenter.repair_machine(machine)
-                    available.append(machine)
-                    if len(available) >= target:
-                        break
-            self.scheduler._poke()
-        elif len(available) > target:
-            for machine in reversed(self._machines):
-                if len(available) <= target:
-                    break
-                if machine.available and not machine.running_tasks:
-                    machine.account_energy(self.sim.now)
-                    machine.available = False
-                    available.remove(machine)
 
     def _record(self, initial: bool = False) -> None:
         snapshot = self._snapshot()
@@ -112,7 +91,7 @@ class AutoscalingController:
             snapshot = self._snapshot()
             target = self.autoscaler.decide(snapshot)
             before = self.leased_machines
-            self._apply(target)
+            self.datacenter.scale_to(target)
             self._record()
             observer = self.sim.observer
             if observer is not None:
@@ -154,7 +133,7 @@ class AutoscalingController:
                 return
             self.alert_boosts += 1
             before = self.leased_machines
-            self._apply(before + boost)
+            self.datacenter.scale_to(before + boost)
             self._record()
             observer = self.sim.observer
             if observer is not None:
@@ -174,7 +153,7 @@ class AutoscalingController:
     @property
     def leased_machines(self) -> int:
         """Machines currently leased."""
-        return sum(1 for m in self._machines if m.available)
+        return self.datacenter.capacity.available_count()
 
     def demand_series(self) -> StepSeries:
         """Demand (in machine-equivalents) over the run so far."""

@@ -7,9 +7,11 @@ cluster/rack/machine tree is O(machines) per query and dominates
 large-scale runs.  :class:`CapacityIndex` answers both incrementally:
 
 - a flat, cached machine tuple (invalidated only on topology changes);
-- per-cluster free/used core counters maintained from machine watcher
-  notifications (O(1) per allocate/release, O(cluster) per
-  failure/repair, which are rare);
+- per-cluster free/used core counters and a count of machines up,
+  maintained from machine watcher notifications: O(1) per
+  allocate/release and per failure/repair (a flip adds or removes the
+  machine's free cores; a failure first reports its evicted cores as a
+  release);
 - a :class:`CapacityVectors` view — numpy arrays of per-machine free
   cores and free memory, maintained as an exact mirror of the machine
   counters — on which vectorized placement policies evaluate a whole
@@ -54,7 +56,11 @@ class _ClusterEntry:
         self.total_cores = 0
 
     def recount(self) -> None:
-        """Rebuild the machine list and counters from scratch."""
+        """Rebuild the machine list and counters from scratch.
+
+        Runs only when the index is (re)built; watcher notifications
+        keep the counters exact between rebuilds.
+        """
         self.machines = tuple(self.cluster.machines())
         free = 0
         used = 0
@@ -196,6 +202,8 @@ class CapacityIndex:
         self.release_epoch = 0
         self._available_cache: tuple[Machine, ...] | None = None
         self._available_cache_epoch = -1
+        #: Machines up, kept by ``machine_availability``.
+        self._available_count = 0
         self._topology_version = -1
         #: Numpy capacity mirror, rebuilt with the topology.
         self.vectors: CapacityVectors
@@ -220,6 +228,7 @@ class CapacityIndex:
                 self._machine_cluster[machine.name] = entry
             machines.extend(entry.machines)
         self._machines = tuple(machines)
+        self._available_count = sum(1 for m in machines if m._available)
         self.vectors = CapacityVectors(self._machines)
         self.availability_epoch += 1
         self.release_epoch += 1
@@ -264,10 +273,20 @@ class CapacityIndex:
         self.vectors.refresh(machine)
 
     def machine_availability(self, machine: Machine) -> None:
-        """``machine`` flipped availability (fail/repair/decommission)."""
+        """``machine`` flipped availability (fail/repair/decommission).
+
+        Only the flipped machine's free cores move in or out of its
+        cluster's free counter; its used cores count either way.
+        """
         entry = self._machine_cluster.get(machine.name)
         if entry is not None:
-            entry.recount()
+            free = machine.spec.cores - machine._cores_used
+            if machine._available:
+                entry.free_cores += free
+                self._available_count += 1
+            else:
+                entry.free_cores -= free
+                self._available_count -= 1
         self.vectors.refresh(machine)
         self.availability_epoch += 1
         self.release_epoch += 1
@@ -302,6 +321,11 @@ class CapacityIndex:
             self._available_cache_epoch = self.availability_epoch
         assert self._available_cache is not None
         return self._available_cache
+
+    def available_count(self) -> int:
+        """Number of machines that are up (counter read, no scan)."""
+        self._check_topology()
+        return self._available_count
 
     def used_cores_total(self) -> int:
         """Cores currently allocated across the datacenter."""

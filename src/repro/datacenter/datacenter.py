@@ -254,6 +254,39 @@ class Datacenter:
         for callback in tuple(self.on_capacity_change):
             callback()
 
+    def scale_to(self, target: int) -> int:
+        """Repair or release machines until ``target`` of them are up.
+
+        The elastic lease of autoscalers and provisioners.  Below the
+        target, down machines are repaired in topology order (each
+        repair wakes the schedulers on :attr:`on_capacity_change`);
+        above it, idle machines are released from the end of topology
+        order (busy ones stay up, so the lease may stay above the
+        target).  ``target`` is clamped to the fleet.  Returns the
+        number of machines up afterwards, counted, not rescanned.
+        """
+        capacity = self.capacity
+        machines = capacity.machines()
+        target = max(0, min(target, len(machines)))
+        up = capacity.available_count()
+        if up < target:
+            for machine in machines:
+                if not machine.available:
+                    self.repair_machine(machine)
+                    up += 1
+                    if up >= target:
+                        break
+        elif up > target:
+            now = self.sim.now
+            for machine in reversed(machines):
+                if up <= target:
+                    break
+                if machine.available and not machine.running_tasks:
+                    machine.account_energy(now)
+                    machine.available = False
+                    up -= 1
+        return up
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

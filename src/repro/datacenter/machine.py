@@ -256,14 +256,16 @@ class Machine:
     def fail(self) -> list[Task]:
         """Take the machine down; returns (and evicts) the victims."""
         victims = list(self._allocations)
+        cores = self._cores_used
         self._allocations.clear()
         self._cores_used = 0
         self._alloc_memory = 0.0
-        if self._available:
-            self._available = False
-            self._notify_availability()
-        elif self._watchers and victims:
-            self._notify_availability()
+        if victims and self._watchers:
+            # Report the evictions as a release before the flip, which
+            # then takes all of the emptied machine's cores out of the
+            # watchers' free counters.
+            self._notify_delta(-cores)
+        self.available = False
         return victims
 
     def repair(self) -> None:

@@ -149,20 +149,20 @@ class Provisioner:
         self.interval = interval
         self.reserved_machines = reserved_machines
         self.on_demand_premium = on_demand_premium
-        self._machines = datacenter.machines()
+        fleet = len(datacenter.capacity.machines())
         self.leased = TimeWeightedMonitor("leased_machines",
-                                          initial=len(self._machines),
+                                          initial=fleet,
                                           start_time=sim.now)
         self._cost_rate = TimeWeightedMonitor(
-            "cost_rate", initial=self._rate(len(self._machines)),
-            start_time=sim.now)
+            "cost_rate", initial=self._rate(fleet), start_time=sim.now)
         self._stopped = False
         sim.process(self._run(), name="provisioner-loop")
 
     def _rate(self, leased_count: int) -> float:
         """Dollars per hour for ``leased_count`` leased machines."""
         rate = 0.0
-        for index, machine in enumerate(self._machines[:leased_count]):
+        machines = self.datacenter.capacity.machines()
+        for index, machine in enumerate(machines[:leased_count]):
             price = machine.spec.cost_per_hour
             if index >= self.reserved_machines:
                 price *= self.on_demand_premium
@@ -171,47 +171,25 @@ class Provisioner:
 
     def _snapshot(self) -> ProvisioningState:
         queued = self.scheduler.queue
-        cores_per_machine = (self._machines[0].spec.cores
-                             if self._machines else 1)
-        running_cores = sum(m.cores_used for m in self._machines)
+        capacity = self.datacenter.capacity
+        machines = capacity.machines()
         return ProvisioningState(
             time=self.sim.now,
             queued_tasks=len(queued),
-            queued_cores=sum(t.cores for t in queued),
-            running_cores=running_cores,
-            leased_machines=sum(1 for m in self._machines if m.available),
-            total_machines=len(self._machines),
-            cores_per_machine=cores_per_machine,
+            queued_cores=queued.cores,
+            running_cores=capacity.used_cores_total(),
+            leased_machines=capacity.available_count(),
+            total_machines=len(machines),
+            cores_per_machine=machines[0].spec.cores if machines else 1,
         )
-
-    def _apply(self, target: int) -> None:
-        target = max(0, min(target, len(self._machines)))
-        leased_now = [m for m in self._machines if m.available]
-        if len(leased_now) < target:
-            for machine in self._machines:
-                if not machine.available:
-                    self.datacenter.repair_machine(machine)
-                    leased_now.append(machine)
-                    if len(leased_now) >= target:
-                        break
-            self.scheduler._poke()
-        elif len(leased_now) > target:
-            # Release idle machines first, from the expensive end.
-            for machine in reversed(self._machines):
-                if len(leased_now) <= target:
-                    break
-                if machine.available and not machine.running_tasks:
-                    machine.account_energy(self.sim.now)
-                    machine.available = False
-                    leased_now.remove(machine)
-        count = sum(1 for m in self._machines if m.available)
-        self.leased.update(self.sim.now, count)
-        self._cost_rate.update(self.sim.now, self._rate(count))
 
     def _run(self):
         while not self._stopped:
-            state = self._snapshot()
-            self._apply(self.policy.target_machines(state))
+            target = self.policy.target_machines(self._snapshot())
+            # Idle machines are released from the expensive end.
+            count = self.datacenter.scale_to(target)
+            self.leased.update(self.sim.now, count)
+            self._cost_rate.update(self.sim.now, self._rate(count))
             yield self.sim.timeout(self.interval)
 
     def stop(self) -> None:

@@ -414,13 +414,24 @@ class ClusterScheduler:
         what remains free at that moment beyond the head's demand.
         Upcoming releases come from the incrementally-sorted
         ``_releases`` list rather than a sort of ``_running`` per call.
+        Tasks mostly finish in release order, so the entries of
+        finished tasks pile up at the front; they are deleted before
+        the walk instead of being skipped by every later reservation.
         """
-        free = self.datacenter.capacity.free_cores_total()
         running = self._running
-        available = free
+        releases = self._releases
+        dead = 0
+        for entry in releases:
+            if running.get(entry[3]) is entry[4]:
+                break
+            dead += 1
+        if dead:
+            del releases[:dead]
+            self._release_dead -= dead
+        available = self.datacenter.capacity.free_cores_total()
         shadow_time = self.sim.now
         head_cores = head.cores
-        for finish_time, cores, _seq, task, token in self._releases:
+        for finish_time, cores, _seq, task, token in releases:
             if running.get(task) is not token:
                 continue
             if available >= head_cores:

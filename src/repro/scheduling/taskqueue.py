@@ -128,6 +128,17 @@ class TaskQueue:
             group.items = [item for item in group.items if item[2].alive]
             group.dead = 0
 
+    @property
+    def cores(self) -> int:
+        """Cores demanded by the queued tasks.
+
+        Counted per core-demand group from the live entries each group
+        already tracks, so it costs O(distinct demands) to read and
+        nothing on append/remove.
+        """
+        return sum(cores * (len(group.items) - group.dead)
+                   for cores, group in self._groups.items())
+
     def __contains__(self, task: object) -> bool:
         return task in self._live
 

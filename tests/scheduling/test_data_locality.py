@@ -97,7 +97,6 @@ class TestDataLocalFit:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bound_kernel_matches_scalar_over_perturbed_fleet(self, seed):
-        pytest.importorskip("numpy")
         rng = random.Random(seed)
         index, machines = make_fleet(rng, 24, f"data-local-{seed}")
         store = DataStore()

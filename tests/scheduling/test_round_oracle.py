@@ -7,7 +7,9 @@ vectorized kernels.  None of that may change a decision.  The oracle
 here is the naive round it replaces: order the whole queue with
 ``policy.order``, then try every task with the policy's scalar
 ``select()`` over ``available_machines()`` — no walk, no limit, no
-failed-demand antichain, no kernels.
+failed-demand antichain, no kernels — and, in EASY rounds, reserve for
+the blocked head from a sort of the running set instead of the
+scheduler's trimmed release list.
 
 Both schedulers run the same hypothesis-generated workload (a
 heterogeneous fleet with memory-bound shapes, 1-8 core tasks, staggered
@@ -15,8 +17,9 @@ arrivals, an optional machine failure and repair) under every queue
 policy, every placement policy, and list, ``strict_head`` and EASY
 rounds; every task must start at the same time on the same machine and
 ``statistics()`` must agree exactly.  A second group pins the queue
-itself: the walk equals ``sorted(queue, key)`` under any interleaving
-of enqueues, removals and key swaps.
+itself: the walk equals ``sorted(queue, key)`` and the queued-core
+total equals a fresh sum under any interleaving of enqueues, removals
+and key swaps.
 """
 
 import random
@@ -73,7 +76,7 @@ class NaiveRoundScheduler(ClusterScheduler):
             index += 1
         if index >= len(ordered):
             return
-        shadow_time, spare_cores = self._reservation_for(ordered[index])
+        shadow_time, spare_cores = self._naive_reservation(ordered[index])
         now = self.sim.now
         for task in ordered[index + 1:]:
             finishes_before_shadow = now + task.runtime <= shadow_time + 1e-9
@@ -85,6 +88,20 @@ class NaiveRoundScheduler(ClusterScheduler):
             if not finishes_before_shadow:
                 spare_cores -= task.cores
             self._start(task, machine)
+
+    def _naive_reservation(self, head: Task) -> tuple[float, int]:
+        """The head's reservation from a sort of the running set."""
+        releases = sorted(
+            (start + machine.effective_runtime(task), task.cores)
+            for task, (machine, start) in self._running.items())
+        available = self.datacenter.capacity.free_cores_total()
+        shadow_time = self.sim.now
+        for finish_time, cores in releases:
+            if available >= head.cores:
+                break
+            available += cores
+            shadow_time = finish_time
+        return shadow_time, max(0, available - head.cores)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +258,7 @@ def test_walk_equals_sorted_under_interleaved_updates(seed, operations):
             assert seen == expected
         assert queue.ordered() == _expected(queue, key)
         assert list(queue.walk()) == queue.ordered()
+        assert queue.cores == sum(t.cores for t in queue)
 
 
 @pytest.mark.parametrize("policy_name", _KEYED)
@@ -254,6 +272,7 @@ def test_walk_survives_group_compaction(policy_name):
     rng = random.Random(3)
     for task in rng.sample(tasks, 450):
         queue.remove(task)
+    assert queue.cores == sum(t.cores for t in queue)
     assert queue.ordered() == sorted(queue, key=key)
     assert list(queue) == [t for t in tasks if t in queue]
     # A walk that removes everything it yields sweeps groups mid-walk.

@@ -16,7 +16,9 @@ fleets, asserting exact agreement — including name tie-breaks, the
 ``can_fit`` memory epsilon, and RoundRobin's rotation cursor.  They
 also pin the registries themselves: a new policy must either join a
 fast path or be listed as a documented fallback, never silently miss
-both.
+both.  Under the same perturbations plus bare availability flips, the
+capacity index's counters (used, free, machines up; totals and per
+cluster) must equal a machine-by-machine recount after every step.
 """
 
 import random
@@ -41,8 +43,6 @@ from repro.scheduling.policies import (
 )
 from repro.scheduling.taskqueue import TaskQueue
 from repro.workload import Task
-
-numpy = pytest.importorskip("numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +303,47 @@ class TestPlacementEquivalence:
         assert not machine.can_fit(over)
         assert vectors.fit_mask(exact.cores, exact.memory).tolist() == [True]
         assert vectors.fit_mask(over.cores, over.memory).tolist() == [False]
+
+
+# ---------------------------------------------------------------------------
+# Capacity counters == a from-scratch count, step by step
+# ---------------------------------------------------------------------------
+def _recount(machines) -> tuple[int, int, int]:
+    """(used cores, free cores, machines up) counted machine by machine."""
+    up = [m for m in machines if m.available]
+    return (sum(m.cores_used for m in machines),
+            sum(m.cores_free for m in up), len(up))
+
+
+class TestCapacityCounters:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counters_equal_a_recount_over_perturbed_fleet(self, seed):
+        # Two fleets under their own indexes plus one index over both,
+        # so every machine notifies two watchers and the per-cluster
+        # counters are distinct from the totals.
+        rng = random.Random(seed)
+        index_a, fleet_a = make_fleet(rng, 12, f"count-{seed}-a")
+        index_b, fleet_b = make_fleet(rng, 12, f"count-{seed}-b")
+        both = CapacityIndex([*index_a.clusters, *index_b.clusters])
+        machines = fleet_a + fleet_b
+        fillers: list[tuple[Machine, Task]] = []
+        for step in range(200):
+            perturb_fleet(rng, machines, fillers)
+            action = rng.random()
+            machine = rng.choice(machines)
+            if action < 0.2:
+                # A lease flip: the machine keeps whatever it runs.
+                machine.available = not machine.available
+            elif action < 0.25:
+                # Also evicts from a machine already down.
+                machine.fail()
+            for index in (index_a, index_b, both):
+                used, free, up = _recount(index.machines())
+                assert (index.used_cores_total(), index.free_cores_total(),
+                        index.available_count()) == (used, free, up), (
+                    f"step {step}")
+                for cluster in index.clusters:
+                    used, free, _ = _recount(cluster.machines())
+                    assert (index.cluster_used_cores(cluster),
+                            index.cluster_free_cores(cluster)) == (
+                                used, free), f"step {step}"

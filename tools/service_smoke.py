@@ -131,7 +131,11 @@ def main() -> int:
             process.wait(timeout=15.0)
         except subprocess.TimeoutExpired:
             process.kill()
+            process.wait()
             raise SystemExit("server did not exit on SIGTERM")
+        finally:
+            assert process.stdout is not None
+            process.stdout.close()
     if process.returncode != 0:
         raise SystemExit(f"server exited {process.returncode}")
     print("clean shutdown (exit 0) — service smoke PASSED")
