@@ -2,7 +2,7 @@
 
 A :class:`Datacenter` binds a physical topology (clusters of racks of
 machines) to a simulator and executes tasks on machines as simulation
-processes.  It is the "digital factory" of §6.1 — schedulers
+events.  It is the "digital factory" of §6.1 — schedulers
 (:mod:`repro.scheduling`) decide *where* work runs; the datacenter
 carries it out, accounts energy, and reacts to machine failures.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.entity import CollectiveFunction, Ecosystem, System
-from ..sim import Interrupt, Process, Simulator, TimeWeightedMonitor
+from ..sim import (Event, SimulationError, Simulator, Timeout,
+                   TimeWeightedMonitor)
 from ..workload.task import Task
 from .capacity import CapacityIndex
 from .cluster import Cluster
@@ -52,7 +53,7 @@ class Datacenter:
         #: Per-interruption (task, lost_work) log, in task-runtime
         #: seconds — the chaos harness checks checkpoint invariants here.
         self.execution_losses: list[tuple[Task, float]] = []
-        self._running: dict[Task, Process] = {}
+        self._running: dict[Task, _Execution] = {}
         #: Deferred-flush seam for scheduling epochs: while a scheduler
         #: round is open (``begin_epoch``), per-execution ``used_cores``
         #: monitor adds and gauge sets are accumulated here and flushed
@@ -99,17 +100,23 @@ class Datacenter:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def execute(self, task: Task, machine: Machine) -> Process:
-        """Run ``task`` on ``machine`` as a simulation process.
+    def execute(self, task: Task, machine: Machine) -> _Execution:
+        """Run ``task`` on ``machine``; returns the execution event.
 
         Capacity is claimed *synchronously* — by the time this method
         returns, the task holds its cores, so a scheduler's fit-check
-        cannot be invalidated by a concurrent placement.  The process
+        cannot be invalidated by a concurrent placement.  The execution
         holds the allocation for the machine-speed-adjusted runtime
         (plus any input stage-in time, see :class:`DataStore`), then
         releases it.  If interrupted (failure or preemption) the task
-        is marked failed and capacity released.  The returned process
-        event succeeds with the task on normal completion.
+        is marked failed and capacity released.  The returned event
+        succeeds with the task on normal completion and with ``None``
+        after an interruption; it can be yielded by a process, awaited
+        with ``sim.run(until=...)``, and interrupted like a process.
+
+        An exception raised by the completion bookkeeping propagates
+        from ``Simulator.step()`` when the service timeout fires, not
+        one event later as from the generator process this replaced.
         """
         machine.account_energy(self.sim.now)
         machine.allocate(task)
@@ -135,11 +142,9 @@ class Datacenter:
                 parent=observer.tracer.active(("task", task.task_id)),
                 attrs={"task": task.name, "machine": machine.name,
                        "cores": task.cores, "attempt": task.attempts})
-        process = self.sim.process(self._execute(task, machine, span,
-                                                 transfer),
-                                   name=f"exec-{task.name}")
-        self._running[task] = process
-        return process
+        execution = _Execution(self, task, machine, span, transfer)
+        self._running[task] = execution
+        return execution
 
     def begin_epoch(self) -> None:
         """Open a deferred-flush epoch (one scheduler round)."""
@@ -159,71 +164,12 @@ class Datacenter:
                 observer.metrics.gauge("datacenter.used_cores").set(
                     float(self.capacity.used_cores_total()))
 
-    def _execute(self, task: Task, machine: Machine, span=None,
-                 transfer: float = 0.0):
-        remaining_before = task.remaining_work
-        service = machine.effective_runtime(task)
-        if transfer:
-            # Input stage-in extends the service interval; the guard
-            # keeps file-less executions on the exact historical float
-            # path (service + 0.0 is an op, skipping it is not).
-            service += transfer
-        started = self.sim.now
-        try:
-            yield self.sim.timeout(service)
-        except Interrupt:
-            machine.account_energy(self.sim.now)
-            if task in machine.running_tasks:
-                machine.release(task)
-            self.used_cores.add(self.sim.now, -task.cores)
-            # Progress scales with the fraction of the service time
-            # served; checkpoints preserve the part up to the last
-            # interval boundary, the rest is wasted work.
-            work_done = 0.0
-            if service > 0:
-                work_done = remaining_before * (self.sim.now - started) / service
-            preserved, lost = task.record_progress(work_done)
-            self.preserved_core_seconds += preserved * task.cores
-            self.wasted_core_seconds += lost * task.cores
-            self.execution_losses.append((task, lost))
-            task.fail(self.sim.now)
-            self.failed_executions += 1
-            self._running.pop(task, None)
-            observer = self.sim.observer
-            if observer is not None:
-                observer.metrics.counter(
-                    "datacenter.executions_interrupted").inc()
-                observer.metrics.counter(
-                    "datacenter.wasted_core_seconds").inc(lost * task.cores)
-                observer.metrics.gauge("datacenter.used_cores").set(
-                    float(self.capacity.used_cores_total()))
-                if span is not None:
-                    observer.tracer.end(span,
-                                        attrs={"outcome": "interrupted"})
-            return None
-        machine.account_energy(self.sim.now)
-        machine.release(task)
-        self.used_cores.add(self.sim.now, -task.cores)
-        task.finish(self.sim.now)
-        if task.output_files:
-            self.data.publish(task, machine.name)
-        self.completed_tasks.append(task)
-        self._running.pop(task, None)
-        observer = self.sim.observer
-        if observer is not None:
-            observer.metrics.counter("datacenter.executions_finished").inc()
-            observer.metrics.gauge("datacenter.used_cores").set(
-                float(self.capacity.used_cores_total()))
-            if span is not None:
-                observer.tracer.end(span, attrs={"outcome": "finished"})
-        return task
-
     def interrupt_task(self, task: Task, cause: str = "preempted") -> None:
         """Interrupt a running execution (failure injection, preemption)."""
-        process = self._running.get(task)
-        if process is None:
+        execution = self._running.get(task)
+        if execution is None:
             raise KeyError(f"task {task.name} is not running here")
-        process.interrupt(cause)
+        execution.interrupt(cause)
 
     def fail_machine(self, machine: Machine) -> list[Task]:
         """Bring a machine down, interrupting everything on it (S8)."""
@@ -323,3 +269,136 @@ class Datacenter:
             CollectiveFunction("serve-customer-workload",
                                required_fraction=0.8))
         return eco
+
+
+class _Execution(Event):
+    """One task's run on one machine: an event that fires when it ends.
+
+    :meth:`Datacenter.execute` creates it.  It posts three events: a
+    start event at creation, the service :class:`~repro.sim.Timeout`
+    when the start event fires, and itself when the run ends, carrying
+    the task (``None`` when interrupted).  These are the events, times
+    and order of the generator process it replaced, and its callbacks
+    are bound methods of an object named ``exec-<task>``, so profiles
+    attribute them as before.
+
+    :meth:`interrupt` and :attr:`is_alive` behave as on
+    :class:`~repro.sim.Process`: interrupting an ended execution is an
+    error, and two interrupts before delivery fail the task once.  An
+    interrupted run's service timeout stays queued; it is delivered
+    and does nothing.
+
+    One difference from the process: an exception raised by the
+    completion bookkeeping propagates from ``Simulator.step()`` at the
+    service timeout, where the process failed its own event and the
+    exception surfaced one event later.
+    """
+
+    __slots__ = ("name", "_datacenter", "_task", "_machine", "_span",
+                 "_transfer", "_started", "_service", "_remaining")
+
+    def __init__(self, datacenter: Datacenter, task: Task, machine: Machine,
+                 span: object, transfer: float) -> None:
+        super().__init__(datacenter.sim)
+        self.name = f"exec-{task.name}"
+        self._datacenter = datacenter
+        self._task = task
+        self._machine = machine
+        self._span = span
+        self._transfer = transfer
+        start = Event(datacenter.sim)
+        start.add_callback(self._begin)
+        start.succeed()
+
+    @property
+    def is_alive(self) -> bool:
+        """Whether the execution has not yet ended."""
+        return self._ok is None
+
+    def interrupt(self, cause: object = None) -> None:
+        """Fail the run when an interrupt event posted now is delivered.
+
+        Raises :class:`~repro.sim.SimulationError` once the execution
+        has ended.
+        """
+        if self._ok is not None:
+            raise SimulationError(f"{self.name} has already finished")
+        event = Event(self.sim)
+        event.add_callback(self._abort)
+        event.succeed(cause)
+
+    def _begin(self, _event: Event) -> None:
+        task = self._task
+        self._remaining = task.remaining_work
+        service = self._machine.effective_runtime(task)
+        if self._transfer:
+            # Input stage-in extends the service interval; the guard
+            # keeps file-less executions on the exact historical float
+            # path (service + 0.0 is an op, skipping it is not).
+            service += self._transfer
+        self._service = service
+        self._started = self.sim.now
+        Timeout(self.sim, service).add_callback(self._finish)
+
+    def _finish(self, _timeout: Event) -> None:
+        if self._ok is not None:
+            return  # interrupted: the stale timeout does nothing
+        dc = self._datacenter
+        task = self._task
+        machine = self._machine
+        now = self.sim.now
+        machine.account_energy(now)
+        machine.release(task)
+        dc.used_cores.add(now, -task.cores)
+        task.finish(now)
+        if task.output_files:
+            dc.data.publish(task, machine.name)
+        dc.completed_tasks.append(task)
+        dc._running.pop(task, None)
+        observer = self.sim.observer
+        if observer is not None:
+            observer.metrics.counter("datacenter.executions_finished").inc()
+            observer.metrics.gauge("datacenter.used_cores").set(
+                float(dc.capacity.used_cores_total()))
+            if self._span is not None:
+                observer.tracer.end(self._span,
+                                    attrs={"outcome": "finished"})
+        self.succeed(task)
+
+    def _abort(self, _event: Event) -> None:
+        if self._ok is not None:
+            return  # a second interrupt, or the run ended first
+        dc = self._datacenter
+        task = self._task
+        machine = self._machine
+        now = self.sim.now
+        machine.account_energy(now)
+        if task in machine.running_tasks:
+            machine.release(task)
+        dc.used_cores.add(now, -task.cores)
+        # Progress scales with the fraction of the service time
+        # served; checkpoints preserve the part up to the last
+        # interval boundary, the rest is wasted work.
+        work_done = 0.0
+        service = self._service
+        if service > 0:
+            work_done = self._remaining * (now - self._started) / service
+        preserved, lost = task.record_progress(work_done)
+        dc.preserved_core_seconds += preserved * task.cores
+        dc.wasted_core_seconds += lost * task.cores
+        dc.execution_losses.append((task, lost))
+        task.fail(now)
+        dc.failed_executions += 1
+        dc._running.pop(task, None)
+        observer = self.sim.observer
+        if observer is not None:
+            observer.metrics.counter(
+                "datacenter.executions_interrupted").inc()
+            observer.metrics.counter(
+                "datacenter.wasted_core_seconds").inc(lost * task.cores)
+            observer.metrics.gauge("datacenter.used_cores").set(
+                float(dc.capacity.used_cores_total()))
+            if self._span is not None:
+                observer.tracer.end(self._span,
+                                    attrs={"outcome": "interrupted"})
+        self.succeed(None)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import Process
 from ..workload.task import Task
-from .datacenter import Datacenter
+from .datacenter import Datacenter, _Execution
 from .machine import Machine
 
 __all__ = ["ScavengingCoordinator", "BorrowRecord"]
@@ -62,10 +61,10 @@ class ScavengingCoordinator:
         self.total_scavenged = 0
         self.total_borrowed_gb = 0.0
 
-    def try_place(self, task: Task) -> Process | None:
+    def try_place(self, task: Task) -> _Execution | None:
         """Place ``task``, scavenging memory if needed.
 
-        Returns the execution process, or ``None`` when neither a
+        Returns the execution event, or ``None`` when neither a
         direct nor a scavenged placement is possible right now.
         """
         machines = self.datacenter.available_machines()
@@ -76,7 +75,7 @@ class ScavengingCoordinator:
         return self._place_scavenged(task, machines)
 
     def _place_scavenged(self, task: Task,
-                         machines: list[Machine]) -> Process | None:
+                         machines: list[Machine]) -> _Execution | None:
         hosts = [m for m in machines
                  if task.cores <= m.cores_free and m.memory_free > 0]
         hosts.sort(key=lambda m: -m.memory_free)
@@ -109,7 +108,7 @@ class ScavengingCoordinator:
         return lenders
 
     def _execute_borrowed(self, task: Task, host: Machine, local: float,
-                          lenders: dict[str, float]) -> Process:
+                          lenders: dict[str, float]) -> _Execution:
         remote = task.memory - local
         remote_fraction = remote / task.memory
         penalty = 1.0 + self.penalty_per_remote_fraction * remote_fraction
@@ -127,7 +126,7 @@ class ScavengingCoordinator:
         self.active.append(record)
         self.total_scavenged += 1
         self.total_borrowed_gb += remote
-        process = self.datacenter.execute(task, host)
+        execution = self.datacenter.execute(task, host)
 
         def release(event, record=record, memory=original_memory,
                     runtime=original_runtime):
@@ -139,5 +138,5 @@ class ScavengingCoordinator:
             if record in self.active:
                 self.active.remove(record)
 
-        process.add_callback(release)
-        return process
+        execution.add_callback(release)
+        return execution

@@ -11,12 +11,13 @@ distinct answers:
   inherently non-deterministic).
 
 The :class:`SubsystemProfiler` collects both, attributed per event by
-classifying the owning process name against prefix rules ("exec-" is
-the datacenter, "faas-" the serverless platform, ...).  The simulator
-only pays for any of this while an
-:class:`~repro.observability.observer.Observer` with profiling enabled
-is attached: :meth:`repro.sim.Simulator.step` then attributes each
-event it delivers, so the profile is the same whoever drives the run.
+classifying the name of the callback's owner (a process, or a task
+execution) against prefix rules ("exec-" is the datacenter, "faas-"
+the serverless platform, ...).  The simulator only pays for any of
+this while an :class:`~repro.observability.observer.Observer` with
+profiling enabled is attached: :meth:`repro.sim.Simulator.step` then
+attributes each event it delivers, so the profile is the same whoever
+drives the run.
 
 :meth:`SubsystemProfiler.report` deliberately returns only the
 deterministic columns (event counts and simulated time) so it can sit

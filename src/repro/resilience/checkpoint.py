@@ -12,7 +12,7 @@ work.
 The mechanics live on :class:`~repro.workload.task.Task`
 (``checkpoint_interval``, ``checkpointed_work``,
 ``record_progress``) and in
-:meth:`repro.datacenter.datacenter.Datacenter._execute`; this module
+:meth:`repro.datacenter.datacenter.Datacenter.execute`; this module
 provides the policy object and pure helpers.
 """
 

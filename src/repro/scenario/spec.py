@@ -1196,7 +1196,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rehydrate a spec from :meth:`to_dict` output."""
+        """Rehydrate a spec from :meth:`to_dict` output.
+
+        Raises ``ValueError`` when ``data`` is not a mapping (a JSON
+        document whose top level is not an object).
+        """
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a scenario spec must be a JSON object, "
+                             f"not {type(data).__name__}")
         schema = data.get("schema", "scenario-spec/v1")
         if schema != "scenario-spec/v1":
             raise ValueError(f"unsupported scenario schema {schema!r}")

@@ -144,9 +144,10 @@ class ClusterScheduler:
         self.on_task_complete: list[Callable[[Task], None]] = []
         self._running: dict[Task, tuple[Machine, float]] = {}
         #: Sorted upcoming releases ``(finish, cores, seq, task, token)``
-        #: kept incrementally for EASY reservations; ``token`` is the
-        #: exact ``_running`` value tuple, so a stale entry is detected
-        #: by an identity check instead of a rescan.
+        #: kept incrementally for EASY reservations (only when
+        #: ``backfilling`` is set; nothing else reads them); ``token``
+        #: is the exact ``_running`` value tuple, so a stale entry is
+        #: detected by an identity check instead of a rescan.
         self._releases: list[tuple] = []
         self._release_seq = 0
         self._release_dead = 0
@@ -445,12 +446,14 @@ class ClusterScheduler:
         self.queue.remove(task)
         token = (machine, self.sim.now)
         self._running[task] = token
-        insort(self._releases,
-               (self.sim.now + machine.effective_runtime(task), task.cores,
-                self._release_seq, task, token))
-        self._release_seq += 1
-        process = self.datacenter.execute(task, machine)
-        process.add_callback(lambda event, t=task: self._on_finished(t, event))
+        if self.backfilling:
+            insort(self._releases,
+                   (self.sim.now + machine.effective_runtime(task),
+                    task.cores, self._release_seq, task, token))
+            self._release_seq += 1
+        execution = self.datacenter.execute(task, machine)
+        execution.add_callback(
+            lambda event, t=task: self._on_finished(t, event))
         if (self.hedge_policy is not None and not task.speculative
                 and task not in self._hedges
                 and self.hedge_policy.should_consider(task.runtime)):
@@ -480,7 +483,7 @@ class ClusterScheduler:
         self._enqueue(backup)
 
     def _on_finished(self, task: Task, event) -> None:
-        if self._running.pop(task, None) is not None:
+        if self._running.pop(task, None) is not None and self.backfilling:
             self._release_dead += 1
             if self._release_dead > 64 and \
                     self._release_dead > len(self._running):

@@ -230,8 +230,9 @@ class Simulator:
 
         The virtual-time advance is charged to the subsystem of the
         event that moved the clock; each callback's wall time is
-        charged to the subsystem of the process it resumes (falling
-        back to the event's own name, then to the kernel).
+        charged to the subsystem named by the callback's owner (the
+        process it resumes, or the task execution it advances),
+        falling back to the event's own name, then to the kernel.
         """
         previous = self._now
         self._now, _, event = heapq.heappop(self._queue)

@@ -118,7 +118,6 @@ class TimeWeightedMonitor:
         self._duration = 0.0
         self._max = float(initial)
         self._min = float(initial)
-        self.changes: list[tuple[float, float]] = [(start_time, initial)]
 
     @property
     def value(self) -> float:
@@ -136,7 +135,6 @@ class TimeWeightedMonitor:
         self._value = float(value)
         self._max = max(self._max, self._value)
         self._min = min(self._min, self._value)
-        self.changes.append((time, self._value))
 
     def add(self, time: float, delta: float) -> None:
         """Increment the variable by ``delta`` at ``time``."""

@@ -156,6 +156,15 @@ def test_run_invalid_spec_document_is_friendly(tmp_path):
     assert "docs/SCENARIOS.md" in err
 
 
+def test_run_non_object_spec_is_friendly(tmp_path):
+    notspec = tmp_path / "list.json"
+    notspec.write_text("[]", encoding="utf-8")
+    code, _, err = run_cli("run", str(notspec))
+    assert code == 2
+    assert "must be a JSON object, not list" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_missing_spec_file_is_friendly():
     code, _, err = run_cli("sweep", "/no/such/spec.json", "--seeds", "1")
     assert code == 2

@@ -70,6 +70,11 @@ class TestSubmitLifecycle:
         assert (snapshot["counters"]["service.rejected_invalid"]
                 == 2.0)
 
+    def test_non_object_spec_rejected(self, service):
+        outcome = service.submit("[]")
+        assert outcome.status == 400
+        assert "must be a JSON object, not list" in (outcome.error or "")
+
     def test_unknown_ids(self, service):
         assert service.job_status("ghost") is None
         assert service.job_result("ghost").status == 404

@@ -104,6 +104,12 @@ class TestRunLifecycle:
         assert excinfo.value.status == 400
         assert excinfo.value.retry_after == 0.0
 
+    def test_non_object_spec_is_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit("[]")
+        assert excinfo.value.status == 400
+        assert "must be a JSON object" in excinfo.value.body["error"]
+
     def test_unknown_routes_and_ids(self, client):
         for call in (lambda: client.status("ghost"),
                      lambda: client.result("ghost"),
