@@ -1138,14 +1138,26 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a non-empty name")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        spans = {"horizon": self.horizon, "max_time": self.max_time}
+        if self.duration is not None:
+            spans["duration"] = self.duration
+        for key, value in {**spans,
+                           "availability_slo": self.availability_slo,
+                           "injection_jitter": self.injection_jitter}.items():
+            # bool is an int subclass, but ``true`` is no number here.
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, float)):
+                raise ValueError(f"{key} must be a number, "
+                                 f"not {type(value).__name__}")
+        for key, value in spans.items():
+            # ``not value > 0`` rather than ``value <= 0``: NaN fails
+            # every comparison, so only this form rejects it.
+            if not value > 0:
+                raise ValueError(f"{key} must be positive")
         if not 0.0 <= self.availability_slo <= 1.0:
             raise ValueError("availability_slo must be in [0, 1]")
-        if self.injection_jitter < 0:
+        if not self.injection_jitter >= 0:
             raise ValueError("injection_jitter must be non-negative")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be positive when given")
         if self.shards is not None:
             self.shards.validate(self.topology)
 

@@ -296,7 +296,8 @@ class _Bridge:
         def call(*args: Any, **kwargs: Any) -> Any:
             with self._lock:
                 result = method(*args, **kwargs)
-            if name in ("submit", "submit_sweep"):
+            # Only an admission (202) queues work for the dispatcher.
+            if name in ("submit", "submit_sweep") and result.status == 202:
                 self._wake.set()
             return result
 

@@ -116,3 +116,19 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="duration"):
         ScenarioSpec(name="x", topology=topology, workload=workload,
                      duration=-1.0)
+
+
+@pytest.mark.parametrize("key, token", [
+    ("max_time", '"nan"'), ("max_time", "NaN"), ("max_time", "-5"),
+    ("max_time", "true"), ("horizon", "true"), ("horizon", "NaN"),
+    ("horizon", '"1000"'), ("duration", "true"), ("duration", "NaN"),
+    ("availability_slo", "true"), ("availability_slo", '"0.5"'),
+    ("injection_jitter", "true"), ("injection_jitter", "NaN")])
+def test_time_and_rate_fields_must_be_numbers_in_range(small_spec, key,
+                                                       token):
+    # A string, a bool or NaN must fail at load, not at run time, and
+    # a non-positive time span must not run as a no-op.
+    data = small_spec.to_dict()
+    data[key] = json.loads(token)
+    with pytest.raises(ValueError, match=key):
+        ScenarioSpec.from_dict(data)

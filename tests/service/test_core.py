@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.resilience import BreakerState
-from repro.scenario import SweepRunner
+from repro.scenario import ScenarioSpec, SweepRunner
 from repro.service import (JobState, ScenarioService, ServiceClock,
                            ServiceConfig)
 
@@ -86,6 +86,104 @@ class TestSubmitLifecycle:
         pending = service.job_result(outcome.job_id)
         assert pending.status == 409
         assert pending.retry_after > 0
+
+
+def count_parses(monkeypatch) -> list:
+    """Record every ``ScenarioSpec.from_json`` call from now on."""
+    parsed = []
+    from_json = ScenarioSpec.from_json
+
+    def counting(text):
+        parsed.append(text)
+        return from_json(text)
+
+    monkeypatch.setattr(ScenarioSpec, "from_json", staticmethod(counting))
+    return parsed
+
+
+class TestBodyMap:
+    """A re-submitted body is matched by its SHA-256, not re-parsed."""
+
+    def test_known_body_skips_the_parse(self, service, spec,
+                                        monkeypatch):
+        parses = count_parses(monkeypatch)
+        body = spec.to_json()
+        first = service.submit(body)
+        assert first.status == 202 and len(parses) == 1
+        service.pump()
+        digest = service.job_result(first.job_id).result_digest
+        parses.clear()    # the executor parses to run the job
+        for _ in range(5):
+            again = service.submit(body)
+            assert again.status == 200 and again.cached
+            assert again.result_digest == digest
+            assert again.fingerprint == spec.fingerprint()
+        assert parses == []
+        # Every request still counts, hit or miss.
+        assert service.cache.statistics()["hits"] == 5.0
+        assert service.cache.statistics()["misses"] == 1.0
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["service.submissions"] == 6.0
+        assert counters["service.cache_hits"] == 5.0
+        assert counters["service.requests_ok"] == 6.0
+        assert [event["kind"] for event in service.events.records()] \
+            == ["job-admitted", "job-done"] + ["job-cached"] * 5
+
+    def test_reformatted_spec_parses_once_more(self, service, spec,
+                                               monkeypatch):
+        first = service.submit(spec.to_json())
+        service.pump()
+        digest = service.job_result(first.job_id).result_digest
+        parses = count_parses(monkeypatch)
+        reformatted = json.dumps(spec.to_dict(), indent=2)
+        for _ in range(2):
+            again = service.submit(reformatted)
+            assert again.status == 200 and again.result_digest == digest
+        assert parses == [reformatted]
+        assert service.cache.statistics()["size"] == 1.0
+
+    def test_invalid_body_is_parsed_and_rejected_every_time(
+            self, service, monkeypatch):
+        parses = count_parses(monkeypatch)
+        for _ in range(2):
+            assert service.submit("{not json").status == 400
+        assert len(parses) == 2
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["service.rejected_invalid"] == 2.0
+
+    def test_map_is_an_lru_bounded_by_cache_capacity(self, monkeypatch):
+        service = inline_service(cache_capacity=2)
+        first, second = (service_spec(seed=seed).to_json()
+                         for seed in (1, 2))
+        service.submit(first)
+        service.submit(second)
+        service.pump()
+        parses = count_parses(monkeypatch)
+        reformatted = json.dumps(json.loads(first), indent=2)
+        for body in (first, reformatted, first, second):
+            assert service.submit(body).status == 200
+        # ``second``, least recently used, was forgotten: it parses
+        # again and still hits.
+        assert parses == [reformatted, second]
+        assert len(service._bodies) == 2
+        assert all(len(key) == 64 for key in service._bodies)
+
+    def test_known_body_with_evicted_result_runs_again(self, spec):
+        service = inline_service(cache_capacity=2)
+        body = spec.to_json()
+        first = service.submit(body)
+        service.pump()
+        digest = service.job_result(first.job_id).result_digest
+        # Sweep points enter the result cache but not the body map.
+        service.submit_sweep(body, {"seeds": [1, 2]})
+        service.pump()
+        assert spec.fingerprint() not in service.cache
+        again = service.submit(body)
+        assert again.status == 202
+        # One lookup per request: two submissions and two sweep points.
+        assert service.cache.statistics()["misses"] == 4.0
+        service.pump()
+        assert service.job_result(again.job_id).result_digest == digest
 
 
 class TestShedding:

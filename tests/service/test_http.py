@@ -110,6 +110,22 @@ class TestRunLifecycle:
         assert excinfo.value.status == 400
         assert "must be a JSON object" in excinfo.value.body["error"]
 
+    def test_non_numeric_max_time_is_400_not_a_breaker_trip(self, server,
+                                                            client):
+        """A spec that fails every attempt must not reach the workers,
+        where its failures would open the breaker for every tenant."""
+        data = service_spec().to_dict()
+        data["max_time"] = "nan"
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(json.dumps(data))
+        assert excinfo.value.status == 400
+        assert "max_time must be a number" in excinfo.value.body["error"]
+        assert client.health()["breaker"] == "closed"
+        with ServiceClient(server.address, tenant="other") as other:
+            outcome = other.submit(service_spec().to_json())
+            assert outcome["status"] == 202
+            other.wait(outcome["job_id"], timeout=60)
+
     def test_unknown_routes_and_ids(self, client):
         for call in (lambda: client.status("ghost"),
                      lambda: client.result("ghost"),
@@ -228,6 +244,26 @@ class TestDegradation:
             assert excinfo.value.retry_after > 0
         finally:
             server.stop()
+
+
+class TestBridgeWake:
+    def test_only_an_admission_wakes_the_dispatcher(self):
+        service = ScenarioService(ServiceConfig(tenant_quota=1),
+                                  executor=InlineExecutor())
+        wake = threading.Event()
+        bridge = service_http._Bridge(service, threading.Lock(), wake)
+        body = service_spec().to_json()
+        assert bridge.submit(body).status == 202
+        assert wake.is_set()
+        wake.clear()
+        assert bridge.submit(service_spec(seed=2).to_json()).status == 429
+        assert bridge.submit("{not json").status == 400
+        assert not wake.is_set()
+        service.pump()
+        assert bridge.submit(body).status == 200
+        assert not wake.is_set()
+        assert bridge.submit_sweep(body, {"seeds": [1]}).status == 202
+        assert wake.is_set()
 
 
 class TestTransport:

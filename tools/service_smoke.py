@@ -5,7 +5,10 @@ pool inside CI's container), submits the bundled
 ``examples/specs/chaos_baseline.json`` spec over HTTP, polls it to
 completion, re-submits it and requires a *cached* response carrying
 the identical result digest (the provable-cache contract from
-docs/SERVICE.md), checks the health and SLO endpoints, scrapes
+docs/SERVICE.md), re-submits it once more re-serialized with other
+formatting and requires the same cached digest (so both hit paths run:
+a known request body, and a new body of a known spec), checks the
+health and SLO endpoints, scrapes
 ``/v1/metrics?format=openmetrics`` and validates every line against
 the exposition grammar (requiring both the service and the federated
 fleet plane — the server runs with ``--observe``), then shuts the
@@ -18,6 +21,7 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import re
 import signal
 import socket
@@ -107,6 +111,17 @@ def main() -> int:
             f"cached digest {again['result_digest']} != first-run "
             f"digest {digest}")
         print("re-submit served from cache with identical digest")
+
+        compact = json.dumps(json.loads(spec_json), separators=(",", ":"))
+        assert compact != spec_json
+        again = client.submit(compact)
+        assert again["status"] == 200, again
+        assert again.get("cached") is True, again
+        assert again["result_digest"] == digest, (
+            f"re-serialized spec's cached digest "
+            f"{again['result_digest']} != first-run digest {digest}")
+        print("re-serialized re-submit served from cache with identical "
+              "digest")
 
         assert client.result_by_digest(digest) == result_json
         health = client.health()
