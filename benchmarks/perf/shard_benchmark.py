@@ -1,6 +1,7 @@
 """Shard benchmark: one continental event loop vs per-region shards.
 
-Measures what :func:`repro.sim.run_sharded` costs against a single
+Measures what a sharded run (:class:`repro.sim.ShardedScenarioRuntime`,
+reached through ``ScenarioSpec.run()``) costs against a single
 monolithic simulator spinning one event loop over every region's
 machines and every service's tasks at once.  The workload is the
 paper's composite ecosystem: each region runs gaming (bursty MMPP
@@ -16,19 +17,14 @@ wide-area links.  A scheduling round walks only the queue groups a
 free slot can hold, so its cost follows the work it places rather than
 the backlog, and the monolith does not pay for the regions' combined
 queue.  The partitioned loops add coupling work (epoch windows,
-message ordering) and, with several worker processes, inter-process
-traffic, so a speedup below 1 means the monolith was faster.  The
-record reports the sharded runs at 1 worker process first — same
-host, same core — and the multi-process configurations after it.
-Every sharded configuration must produce the byte-identical merged
-digest (the conservative-coupling determinism contract);
-``tools/check_bench_trajectory.py`` refuses the record otherwise.
+message ordering), so a speedup below 1 means the monolith was faster.
+Both sides run in this process, on the same host and core.
 
 The monolith and the sharded spec are *different specs* (one has a
 ``shards`` section) with different fingerprints — the record keeps
-both and the checker validates them independently instead of
-demanding the cross-spec identity the ``bench-sim-core/v1`` schema
-enforces.
+both and ``tools/check_bench_trajectory.py`` validates them
+independently instead of demanding the cross-spec identity the
+``bench-sim-core/v1`` schema enforces.
 
 Usage::
 
@@ -49,11 +45,10 @@ from pathlib import Path
 from repro.scenario import (ClusterSpec, ScenarioSpec, ShardLinkSpec,
                             ShardPlanSpec, ShardSpec, TopologySpec,
                             WorkloadSpec)
-from repro.sim.sharding import run_sharded
 
 __all__ = ["main", "monolith_spec", "sharded_spec"]
 
-SCHEMA = "bench-shard/v1"
+SCHEMA = "bench-shard/v2"
 REGIONS = 6
 MACHINES_PER_REGION = 30
 CORES_PER_MACHINE = 4
@@ -145,49 +140,33 @@ def _measure_monolith() -> dict:
     }
 
 
-def _measure_sharded(worker_counts: tuple[int, ...]) -> dict:
-    """Time the sharded run at each worker count; digests must agree."""
+def _measure_sharded() -> dict:
+    """Time the sharded run; return metrics + digest."""
     spec = sharded_spec()
-    configs = {}
-    coupling = None
-    for workers in worker_counts:
-        start = time.perf_counter()
-        outcome = run_sharded(spec, workers=workers)
-        elapsed = time.perf_counter() - start
-        coupling = outcome.result.shards["coupling"]
-        configs[str(workers)] = {
-            "elapsed_s": elapsed,
-            "digest": outcome.result.digest(),
-        }
+    start = time.perf_counter()
+    result = spec.run()
+    elapsed = time.perf_counter() - start
+    coupling = result.shards["coupling"]
     return {
         "fingerprint": spec.fingerprint(),
         "shards": REGIONS,
         "epochs": coupling["epochs"],
         "offloaded": coupling["offloaded"],
-        "configs": configs,
+        "elapsed_s": elapsed,
+        "digest": result.digest(),
     }
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the benchmark and write/print the ``bench-shard/v1`` record."""
+    """Run the benchmark and write/print the ``bench-shard/v2`` record."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", type=Path, default=None,
                         help="write the record here (default: stdout)")
-    parser.add_argument("--workers", default="1,2,6",
-                        help="comma-separated sharded worker counts")
     args = parser.parse_args(argv)
-    worker_counts = tuple(int(part) for part in args.workers.split(","))
 
     monolith = _measure_monolith()
-    sharded = _measure_sharded(worker_counts)
-    digests = {entry["digest"] for entry in sharded["configs"].values()}
-    if len(digests) != 1:
-        print(f"FAIL: sharded digests diverged across worker counts: "
-              f"{sorted(digests)}", file=sys.stderr)
-        return 1
-    speedups = {
-        workers: monolith["elapsed_s"] / entry["elapsed_s"]
-        for workers, entry in sharded["configs"].items()}
+    sharded = _measure_sharded()
+    speedup = monolith["elapsed_s"] / sharded["elapsed_s"]
     record = {
         "schema": SCHEMA,
         "generated_with": {
@@ -196,16 +175,14 @@ def main(argv: list[str] | None = None) -> int:
             "cpus": os.cpu_count(),
             "note": ("monolith = one event loop over all regions; "
                      "sharded = per-region schedulers and event loops "
-                     "under conservative epoch coupling, keyed by "
-                     "worker-process count. Sharding is a modelling "
-                     "feature (per-region schedulers, WAN offload); a "
-                     "speedup below 1 means the monolith was faster. "
-                     "Every sharded config produced the byte-identical "
-                     "digest."),
+                     "under conservative epoch coupling, in one process. "
+                     "Sharding is a modelling feature (per-region "
+                     "schedulers, WAN offload); a speedup below 1 means "
+                     "the monolith was faster."),
         },
         "monolith": monolith,
         "sharded": sharded,
-        "speedups": speedups,
+        "speedup": speedup,
     }
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.output is not None:
@@ -213,10 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {args.output}")
     else:
         print(text, end="")
-    for workers, ratio in sorted(speedups.items(), key=lambda kv: int(kv[0])):
-        print(f"  {workers} worker(s): {ratio:.2f}x vs monolith "
-              f"({sharded['configs'][workers]['elapsed_s']:.2f}s vs "
-              f"{monolith['elapsed_s']:.2f}s)")
+    print(f"  sharded: {speedup:.2f}x vs monolith "
+          f"({sharded['elapsed_s']:.2f}s vs {monolith['elapsed_s']:.2f}s)")
     return 0
 
 

@@ -28,12 +28,13 @@ byte-identical to a serial re-run (see docs/OBSERVABILITY.md,
 ``docs/SCENARIOS.md``) and prints its deterministic result summary,
 fingerprint, and digest; ``--out <file>`` also writes the full result
 JSON.  Specs with a ``shards`` section run as per-region event loops
-under conservative epoch coupling; ``--shard-workers N`` spreads the
-shards over ``N`` OS processes with a byte-identical result for every
-``N`` (see docs/ARCHITECTURE.md, "Sharding").  ``sweep`` fans a seed/policy/scale grid of the spec across
-worker processes (``--workers``) with a deterministic merge;
-``--verify-serial`` re-runs the grid serially and asserts the merged
-report digest is byte-identical.
+under conservative epoch coupling, all in one process, and ``run``
+adds a line with the shard count, epochs, and offloaded tasks (see
+docs/ARCHITECTURE.md, "Sharding").  ``sweep`` fans a
+seed/policy/scale grid of the spec across worker processes
+(``--workers``) with a deterministic merge; ``--verify-serial``
+re-runs the grid serially and asserts the merged report digest is
+byte-identical.
 
 ``serve`` runs the scenario kernel as a long-lived multi-tenant HTTP
 service fronted by the repo's own resilience stack — bounded-queue
@@ -41,12 +42,17 @@ admission with per-tenant quotas (429 + ``Retry-After``), a circuit
 breaker around the warm worker pool (503 while open), per-tenant retry
 budgets, and a fingerprint-keyed result cache.  See
 ``docs/SERVICE.md`` for the API.
+
+A missing option value, an unknown option, or a value that does not
+parse or validate prints one line on stderr and exits 2.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
+from typing import Any, Callable, Iterable, Mapping
 
 from .core import (
     ChallengeRegistry,
@@ -235,6 +241,95 @@ def _load_spec(path: str):
         ) from exc
 
 
+class UsageError(Exception):
+    """A command line the CLI cannot act on (one user-facing line)."""
+
+
+#: Each command's synopsis, for ``--help`` and for usage errors.
+USAGE = {
+    "observe": "observe [--spec <file>] "
+               "[--federated [--workers N] [--seeds 1,2,3,4]]",
+    "run": "run <spec.json> [--out <file>]",
+    "sweep": "sweep <spec.json> [--seeds 1,2] [--policies fcfs,sjf] "
+             "[--scale 1.0,2.0] [--workers N] [--verify-serial] "
+             "[--out <file>]",
+    "serve": "serve [--host H] [--port P] [--workers N] [--max-queue N] "
+             "[--tenant-quota N] [--inline] [--observe]",
+}
+
+
+def _usage(command: str) -> UsageError:
+    return UsageError(f"usage: python -m repro {USAGE[command]}")
+
+
+def _parse_args(command: str, argv: list[str],
+                values: Mapping[str, Callable[[str], Any]],
+                flags: Iterable[str] = (), positional: int = 0,
+                ) -> tuple[list[str], dict[str, Any]]:
+    """Split one command's arguments into positionals and options.
+
+    ``values`` maps each option that takes a value to the function
+    that parses it; every flag in ``flags`` parses to ``True``.  A
+    missing value, a parser's ``ValueError``, an unknown option, or a
+    wrong number of positional arguments raises :class:`UsageError`
+    before anything runs.
+    """
+    rest: list[str] = []
+    options: dict[str, Any] = {}
+    arguments = iter(argv)
+    for argument in arguments:
+        if argument in flags:
+            options[argument] = True
+        elif argument in values:
+            text = next(arguments, None)
+            if text is None:
+                raise UsageError(f"missing value for {argument}")
+            try:
+                options[argument] = values[argument](text)
+            except ValueError as exc:
+                raise UsageError(f"invalid {command} option {argument} "
+                                 f"{text!r}: {exc}") from exc
+        elif argument.startswith("-"):
+            raise _usage(command)
+        else:
+            rest.append(argument)
+    if len(rest) != positional:
+        raise _usage(command)
+    return rest, options
+
+
+def _positive(cast: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A parser for one finite number > 0, read with ``cast``."""
+    def parse(text: str) -> Any:
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise ValueError("must be a finite number > 0")
+        return value
+    return parse
+
+
+def _axis(cast: Callable[[str], Any]) -> Callable[[str], list]:
+    """A parser for a ``a,b,c`` sweep axis, each entry read with ``cast``."""
+    def parse(text: str) -> list:
+        return [cast(part) for part in text.split(",") if part]
+    return parse
+
+
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise ValueError("must be in 0-65535 (0 picks a free port)")
+    return port
+
+
+def _queue_policy(name: str) -> str:
+    from .scheduling.policies import QUEUE_POLICIES
+    if name not in QUEUE_POLICIES:
+        raise ValueError(f"unknown queue policy; registered: "
+                         f"{sorted(QUEUE_POLICIES)}")
+    return name
+
+
 def _observe_spec(path: str) -> str:
     """The operator's view of one declarative scenario run.
 
@@ -248,17 +343,17 @@ def _observe_spec(path: str) -> str:
     spec = _load_spec(path)
     if spec.shards is not None:
         from .reporting import render_fleet_report
-        from .sim.sharding import run_sharded
-        outcome = run_sharded(spec, observe=True)
-        assert outcome.telemetry is not None
+        from .sim.sharding import ShardedScenarioRuntime
+        sharded = ShardedScenarioRuntime(spec, capture=True)
+        result = sharded.execute()
         sections = [
             f"Scenario {spec.name!r} (seed {spec.seed}, fingerprint "
             f"{spec.fingerprint()}) - as the sharded run saw itself:",
             render_fleet_report(
-                outcome.telemetry,
+                sharded.telemetry,
                 title=f"Fleet telemetry "
                       f"({len(spec.shards.shards)} shard(s))"),
-            f"Result digest: {outcome.result.digest()}",
+            f"Result digest: {result.digest()}",
         ]
         return "\n\n".join(sections)
     observer = Observer()
@@ -282,7 +377,7 @@ def _observe_spec(path: str) -> str:
     return "\n\n".join(sections)
 
 
-def _observe_federated(argv: list[str]) -> int:
+def _observe_federated(options: Mapping[str, Any]) -> int:
     """``observe --federated [--spec F] [--workers N] [--seeds ..]``.
 
     Runs a seed grid of the spec with federated observation — every
@@ -293,25 +388,10 @@ def _observe_federated(argv: list[str]) -> int:
     from .observability.federation import fleet_digest
     from .reporting import render_fleet_report
     from .scenario import SweepRunner
-    options = {"--spec": "examples/specs/chaos_baseline.json",
-               "--workers": "2", "--seeds": "1,2,3,4"}
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument in options:
-            if index + 1 >= len(argv):
-                print(f"missing value for {argument}", file=sys.stderr)
-                return 2
-            options[argument] = argv[index + 1]
-            index += 2
-        else:
-            print("usage: python -m repro observe --federated "
-                  "[--spec <file>] [--workers N] [--seeds 1,2,3,4]",
-                  file=sys.stderr)
-            return 2
-    spec = _load_spec(options["--spec"])
-    seeds = _parse_axis(options["--seeds"], int)
-    workers = int(options["--workers"])
+    spec = _load_spec(options.get("--spec",
+                                  "examples/specs/chaos_baseline.json"))
+    seeds = options.get("--seeds", [1, 2, 3, 4])
+    workers = options.get("--workers", 2)
     report = SweepRunner(spec, workers=workers,
                          observe=True).sweep(seeds=seeds)
     assert report.telemetry is not None
@@ -330,91 +410,46 @@ def _observe_federated(argv: list[str]) -> int:
 
 
 def _run_spec(argv: list[str]) -> int:
-    """``run <spec.json> [--out F] [--shard-workers N]``: one run.
+    """``run <spec.json> [--out F]``: one run.
 
-    For a spec with a ``shards`` section, ``--shard-workers N``
-    spreads the per-region event loops over ``N`` OS processes; the
-    result (and its digest) is byte-identical for every ``N`` — the
-    sharding determinism contract, demonstrated at the command line.
+    A spec with a ``shards`` section runs its per-region event loops
+    under conservative epoch coupling, and one more line reports the
+    shard count, epochs, and offloaded tasks.
     """
-    out = None
-    shard_workers = 1
-    if "--out" in argv:
-        index = argv.index("--out")
-        out = argv[index + 1]
-        argv = argv[:index] + argv[index + 2:]
-    if "--shard-workers" in argv:
-        index = argv.index("--shard-workers")
-        try:
-            shard_workers = int(argv[index + 1])
-        except (IndexError, ValueError):
-            print("missing or invalid value for --shard-workers",
-                  file=sys.stderr)
-            return 2
-        argv = argv[:index] + argv[index + 2:]
-    if len(argv) != 1:
-        print("usage: python -m repro run <spec.json> [--out result.json] "
-              "[--shard-workers N]", file=sys.stderr)
-        return 2
-    spec = _load_spec(argv[0])
-    if spec.shards is not None or shard_workers != 1:
-        from .sim.sharding import run_sharded
-        outcome = run_sharded(spec, workers=shard_workers)
-        result = outcome.result
+    (path,), options = _parse_args("run", argv, {"--out": str},
+                                   positional=1)
+    result = _load_spec(path).run()
+    if result.shards is not None:
         coupling = result.shards["coupling"]
-        print(f"  shards: {len(result.shards['by_shard'])} over "
-              f"{outcome.workers} worker(s), {coupling['epochs']} epochs, "
+        print(f"  shards: {len(result.shards['by_shard'])}, "
+              f"{coupling['epochs']} epochs, "
               f"{coupling['offloaded']} task(s) offloaded")
-    else:
-        result = spec.run()
     for key, value in sorted(result.summary().items()):
         print(f"  {key}: {value:g}")
     print(f"  fingerprint: {result.fingerprint}")
     print(f"  digest: {result.digest()}")
+    out = options.get("--out")
     if out is not None:
         Path(out).write_text(result.to_json() + "\n", encoding="utf-8")
         print(f"  result written to {out}")
     return 0
 
 
-def _parse_axis(text: str, cast) -> list:
-    """Split a ``--axis a,b,c`` value into typed entries."""
-    return [cast(part) for part in text.split(",") if part]
-
-
 def _sweep_spec(argv: list[str]) -> int:
     """``sweep <spec.json> --seeds 1,2 --policies fcfs,sjf ...``."""
     from .reporting import render_table
     from .scenario import SweepRunner
-    options = {"--seeds": None, "--policies": None, "--scale": None,
-               "--workers": "1", "--out": None}
-    positional: list[str] = []
-    verify_serial = False
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--verify-serial":
-            verify_serial = True
-            index += 1
-        elif argument in options:
-            if index + 1 >= len(argv):
-                print(f"missing value for {argument}", file=sys.stderr)
-                return 2
-            options[argument] = argv[index + 1]
-            index += 2
-        else:
-            positional.append(argument)
-            index += 1
-    if len(positional) != 1:
-        print("usage: python -m repro sweep <spec.json> [--seeds 1,2] "
-              "[--policies fcfs,sjf] [--scale 1.0,2.0] [--workers N] "
-              "[--verify-serial] [--out report.json]", file=sys.stderr)
-        return 2
-    spec = _load_spec(positional[0])
-    seeds = _parse_axis(options["--seeds"] or "", int)
-    policies = _parse_axis(options["--policies"] or "", str)
-    scale = _parse_axis(options["--scale"] or "", float)
-    workers = int(options["--workers"] or "1")
+    (path,), options = _parse_args(
+        "sweep", argv,
+        {"--seeds": _axis(int), "--policies": _axis(_queue_policy),
+         "--scale": _axis(_positive(float)), "--workers": _positive(int),
+         "--out": str},
+        flags=("--verify-serial",), positional=1)
+    spec = _load_spec(path)
+    seeds = options.get("--seeds", [])
+    policies = options.get("--policies", [])
+    scale = options.get("--scale", [])
+    workers = options.get("--workers", 1)
     report = SweepRunner(spec, workers=workers).sweep(
         seeds=seeds, policies=policies, scale=scale)
     rows = []
@@ -429,14 +464,14 @@ def _sweep_spec(argv: list[str]) -> int:
               f"{workers} worker(s)"))
     print(f"  base fingerprint: {report.base_fingerprint}")
     print(f"  report digest: {report.digest()}")
-    if verify_serial:
+    if "--verify-serial" in options:
         serial = SweepRunner(spec, workers=1).sweep(
             seeds=seeds, policies=policies, scale=scale)
         if serial.digest() != report.digest():
             print("  FAIL: serial re-run digest differs", file=sys.stderr)
             return 1
         print("  serial re-run digest matches (byte-identical merge)")
-    if options["--out"] is not None:
+    if "--out" in options:
         Path(options["--out"]).write_text(report.to_json() + "\n",
                                           encoding="utf-8")
         print(f"  report written to {options['--out']}")
@@ -458,42 +493,22 @@ def _serve(argv: list[str]) -> int:
 
     from .service import (InlineExecutor, ScenarioService, ServiceConfig,
                           ServiceHTTPServer)
-    options = {"--host": "127.0.0.1", "--port": "8765", "--workers": "2",
-               "--max-queue": "64", "--tenant-quota": "16"}
-    inline = False
-    observe = False
-    index = 0
-    while index < len(argv):
-        argument = argv[index]
-        if argument == "--inline":
-            inline = True
-            index += 1
-        elif argument == "--observe":
-            observe = True
-            index += 1
-        elif argument in options:
-            if index + 1 >= len(argv):
-                print(f"missing value for {argument}", file=sys.stderr)
-                return 2
-            options[argument] = argv[index + 1]
-            index += 2
-        else:
-            print("usage: python -m repro serve [--host H] [--port P] "
-                  "[--workers N] [--max-queue N] [--tenant-quota N] "
-                  "[--inline] [--observe]", file=sys.stderr)
-            return 2
-    try:
-        config = ServiceConfig(max_queue=int(options["--max-queue"]),
-                               tenant_quota=int(options["--tenant-quota"]),
-                               workers=int(options["--workers"]),
-                               observe=observe)
-        port = int(options["--port"])
-    except ValueError as exc:
-        print(f"invalid serve option: {exc}", file=sys.stderr)
-        return 2
+    _, options = _parse_args(
+        "serve", argv,
+        {"--host": str, "--port": _port, "--workers": _positive(int),
+         "--max-queue": _positive(int), "--tenant-quota": _positive(int)},
+        flags=("--inline", "--observe"))
+    inline = "--inline" in options
+    observe = "--observe" in options
+    config = ServiceConfig(max_queue=options.get("--max-queue", 64),
+                           tenant_quota=options.get("--tenant-quota", 16),
+                           workers=options.get("--workers", 2),
+                           observe=observe)
     executor = InlineExecutor() if inline else None
     service = ScenarioService(config, executor=executor)
-    server = ServiceHTTPServer(service, host=options["--host"], port=port)
+    server = ServiceHTTPServer(service,
+                               host=options.get("--host", "127.0.0.1"),
+                               port=options.get("--port", 8765))
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
@@ -533,24 +548,23 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(ARTIFACTS):
             print(f"  {name}")
         print("  all")
-        print("  observe [--spec <file>]")
-        print("  observe --federated [--spec <file>] [--workers N] "
-              "[--seeds 1,2,3,4]")
-        print("  run <spec.json> [--out <file>] [--shard-workers N]")
-        print("  sweep <spec.json> [--seeds ..] [--policies ..] "
-              "[--scale ..] [--workers N] [--verify-serial] [--out <file>]")
-        print("  serve [--host H] [--port P] [--workers N] [--inline]")
+        for synopsis in USAGE.values():
+            print(f"  {synopsis}")
         return 0
     name = argv[0]
     try:
         if name in ("observe", "--observe"):
-            if "--federated" in argv[1:]:
-                rest = [arg for arg in argv[1:] if arg != "--federated"]
-                return _observe_federated(rest)
-            if len(argv) >= 3 and argv[1] == "--spec":
-                print(_observe_spec(argv[2]))
-            else:
-                print(_observe())
+            _, options = _parse_args(
+                "observe", argv[1:],
+                {"--spec": str, "--workers": _positive(int),
+                 "--seeds": _axis(int)},
+                flags=("--federated",))
+            if "--federated" in options:
+                return _observe_federated(options)
+            if "--workers" in options or "--seeds" in options:
+                raise _usage("observe")
+            print(_observe_spec(options["--spec"]) if "--spec" in options
+                  else _observe())
             return 0
         if name == "run":
             return _run_spec(argv[1:])
@@ -558,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
             return _sweep_spec(argv[1:])
         if name == "serve":
             return _serve(argv[1:])
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SpecLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

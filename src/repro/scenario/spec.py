@@ -26,6 +26,7 @@ serializable, and the spec API makes that boundary explicit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -1150,10 +1151,11 @@ class ScenarioSpec:
                 raise ValueError(f"{key} must be a number, "
                                  f"not {type(value).__name__}")
         for key, value in spans.items():
-            # ``not value > 0`` rather than ``value <= 0``: NaN fails
-            # every comparison, so only this form rejects it.
-            if not value > 0:
-                raise ValueError(f"{key} must be positive")
+            # NaN fails every comparison, so this form rejects it too;
+            # an infinite span would let a periodic controller tick
+            # forever.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be finite and positive")
         if not 0.0 <= self.availability_slo <= 1.0:
             raise ValueError("availability_slo must be in [0, 1]")
         if not self.injection_jitter >= 0:

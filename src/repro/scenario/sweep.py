@@ -84,26 +84,27 @@ def run_spec_observed(spec_json: str, run_id: str) -> tuple[str, str]:
     is compiled, so the result bytes are identical to an unobserved
     run — observation federates telemetry, it never perturbs digests.
 
-    A sharded spec runs through
-    :func:`~repro.sim.sharding.run_sharded` with per-shard capture; the
-    shard fleet's merged metrics/profile/census are re-wrapped as this
-    point's single snapshot, so a sweep over sharded scenarios
-    federates exactly like any other sweep.
+    A sharded spec runs as a
+    :class:`~repro.sim.sharding.ShardedScenarioRuntime` with per-shard
+    capture; the shard fleet's merged metrics/profile/census are
+    re-wrapped as this point's single snapshot, so a sweep over sharded
+    scenarios federates exactly like any other sweep.
     """
     from ..observability.federation import TelemetrySnapshot
     from ..observability.observer import Observer
 
     spec = ScenarioSpec.from_json(spec_json)
     if spec.shards is not None:
-        from ..sim.sharding import run_sharded
-        outcome = run_sharded(spec, observe=True)
-        fleet = outcome.telemetry
+        from ..sim.sharding import ShardedScenarioRuntime
+        sharded = ShardedScenarioRuntime(spec, capture=True)
+        result = sharded.execute()
+        fleet = sharded.telemetry
         snapshot = TelemetrySnapshot(
             run_id=run_id, fingerprint=spec.fingerprint(), seed=spec.seed,
             metrics=fleet["metrics"], profile=fleet["profile"] or None,
             spans={"total": fleet["spans"]["total"],
                    "census": fleet["spans"]["census"]})
-        return outcome.result.to_json(), snapshot.to_json()
+        return result.to_json(), snapshot.to_json()
     declared = spec.observer or spec.slos is not None
     observer = Observer()
     runtime = spec.build(observer=observer)

@@ -23,10 +23,8 @@ from .sharding import (
     CompletionAck,
     RemoteSubmit,
     ShardConfigError,
-    ShardedOutcome,
     ShardedScenarioRuntime,
     ShardHarness,
-    run_sharded,
 )
 
 __all__ = [
@@ -55,8 +53,6 @@ __all__ = [
     "ShardConfigError",
     "ShardHarness",
     "ShardedScenarioRuntime",
-    "ShardedOutcome",
     "RemoteSubmit",
     "CompletionAck",
-    "run_sharded",
 ]

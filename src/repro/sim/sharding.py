@@ -25,19 +25,21 @@ at the next barrier can never rewind any shard's clock.
 ``(send_time, source shard, per-shard sequence number)`` and each
 destination's inbox is sorted by ``(deliver_time, src, seq)`` before
 injection, so the injected event order — and therefore every digest —
-is a pure function of the spec, independent of how shards are packed
-onto worker processes.
+is a pure function of the spec.
 
-**Determinism contract.**  The merged
-:class:`~repro.scenario.result.ScenarioResult` and fleet telemetry of
-one sharded spec are byte-identical whether the shards run in-process
-(one worker) or across any number of worker processes; the golden
-tests pin 1/2/8-worker configurations to one digest.
+**Determinism contract.**  Shards are built, advanced and merged in
+plan declaration order inside one process, and share no object state:
+offloaded tasks travel as plain-data payloads and are rebuilt at their
+destination.  The merged
+:class:`~repro.scenario.result.ScenarioResult` and fleet telemetry are
+therefore a pure function of the spec, and every per-shard result is
+invariant to the legal epoch width (only the coupling record's epoch
+count and lookahead follow it); the golden tests pin the planet-scale
+gallery spec.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -51,8 +53,6 @@ __all__ = [
     "CompletionAck",
     "ShardHarness",
     "ShardedScenarioRuntime",
-    "ShardedOutcome",
-    "run_sharded",
 ]
 
 
@@ -78,7 +78,7 @@ class RemoteSubmit:
     can order concurrent arrivals deterministically; ``deliver_time``
     is ``send_time`` plus the link latency, and the task itself travels
     as a plain-data payload (the origin's Task object never crosses the
-    process boundary).
+    shard boundary).
     """
 
     src: str
@@ -87,12 +87,6 @@ class RemoteSubmit:
     send_time: float
     deliver_time: float
     task: dict
-
-    def to_dict(self) -> dict:
-        """Plain-data form (for the worker pipe)."""
-        return {"type": "submit", "src": self.src, "dst": self.dst,
-                "seq": self.seq, "send_time": self.send_time,
-                "deliver_time": self.deliver_time, "task": dict(self.task)}
 
 
 @dataclass(frozen=True)
@@ -112,31 +106,6 @@ class CompletionAck:
     task_name: str
     finish_time: float
 
-    def to_dict(self) -> dict:
-        """Plain-data form (for the worker pipe)."""
-        return {"type": "ack", "src": self.src, "dst": self.dst,
-                "seq": self.seq, "send_time": self.send_time,
-                "deliver_time": self.deliver_time,
-                "task_name": self.task_name,
-                "finish_time": self.finish_time}
-
-
-def message_from_dict(data: Mapping[str, Any]) -> "RemoteSubmit | CompletionAck":
-    """Rehydrate a cross-shard message from its plain-data form."""
-    kind = data["type"]
-    if kind == "submit":
-        return RemoteSubmit(src=data["src"], dst=data["dst"],
-                            seq=data["seq"], send_time=data["send_time"],
-                            deliver_time=data["deliver_time"],
-                            task=dict(data["task"]))
-    if kind == "ack":
-        return CompletionAck(src=data["src"], dst=data["dst"],
-                             seq=data["seq"], send_time=data["send_time"],
-                             deliver_time=data["deliver_time"],
-                             task_name=data["task_name"],
-                             finish_time=data["finish_time"])
-    raise ValueError(f"unknown cross-shard message type {kind!r}")
-
 
 def _message_order(message: "RemoteSubmit | CompletionAck"):
     """The deterministic per-destination injection order."""
@@ -144,7 +113,7 @@ def _message_order(message: "RemoteSubmit | CompletionAck"):
 
 
 def _task_payload(task: Any) -> dict:
-    """A task's wire form: everything needed to rebuild it remotely."""
+    """A task's plain-data form: everything needed to rebuild it remotely."""
     return {
         "runtime": task.runtime,
         "cores": task.cores,
@@ -164,8 +133,8 @@ def _task_from_payload(payload: Mapping[str, Any], submit_time: float):
     """Rebuild a delegated task at its destination.
 
     The rebuilt task submits at its delivery time (it spent the link
-    latency in flight) and keeps its origin name, so destination-side
-    statistics stay stable however shards are packed onto workers.
+    latency in flight) and keeps its origin name, so the destination's
+    statistics and the acknowledgement name the task as its origin did.
     """
     from ..workload.task import Task
     return Task(runtime=payload["runtime"], cores=payload["cores"],
@@ -297,15 +266,14 @@ class ShardHarness:
 
     # -- completion -----------------------------------------------------
     def finish(self) -> dict:
-        """Settle the run and compile the shard's wire payload.
+        """Settle the run and compile the shard's payload for the merge.
 
         Closes the run exactly as
         :meth:`~repro.scenario.runtime.ScenarioRuntime.drive` does
         (:meth:`~repro.scenario.runtime.ScenarioRuntime.settle`),
-        finalizes, and returns the result JSON, optional telemetry
-        snapshot JSON (run id ``shard-<name>``), and the cross-shard
-        accounting the merge needs — all plain data, safe to ship over
-        a pipe.
+        finalizes, and returns the result, the optional telemetry
+        snapshot (run id ``shard-<name>``), and the cross-shard
+        accounting the merge needs.
         """
         if self._finished:
             raise RuntimeError(f"shard {self.name!r} was already finished")
@@ -327,9 +295,9 @@ class ShardHarness:
                 telemetry = TelemetrySnapshot.capture(
                     observer, run_id=f"shard-{self.name}",
                     fingerprint=self.subspec.fingerprint(),
-                    seed=self.subspec.seed).to_json()
+                    seed=self.subspec.seed)
         return {
-            "result": result.to_json(),
+            "result": result,
             "telemetry": telemetry,
             "extras": {
                 "offloads_sent": self.offloads_sent,
@@ -366,37 +334,8 @@ def _route_messages(outbound: Iterable["RemoteSubmit | CompletionAck"],
     return by_dst
 
 
-def _drive_epochs(shard_set: Any, *, bound: float, lookahead: float) -> int:
-    """Run the conservative epoch loop over a shard set.
-
-    Each iteration: compute every shard's *effective* horizon (its next
-    local event, or an earlier undelivered message), stop when nothing
-    remains at or below ``bound``, otherwise open a window of
-    ``lookahead`` past the global minimum, deliver the pending batch,
-    advance every shard to the barrier, and collect the next batch.
-    Returns the number of epochs (windows) executed — part of the
-    coupling record, so worker counts can be checked against it.
-    """
-    pending: dict[str, list] = {}
-    peeks = shard_set.peeks()
-    epochs = 0
-    while True:
-        effective = dict(peeks)
-        for dst, messages in pending.items():
-            horizon = min(m.deliver_time for m in messages)
-            if horizon < effective.get(dst, float("inf")):
-                effective[dst] = horizon
-        floor = min(effective.values(), default=float("inf"))
-        if floor > bound:
-            break
-        outbound, peeks = shard_set.run_epoch(floor + lookahead, pending)
-        pending = _route_messages(outbound)
-        epochs += 1
-    return epochs
-
-
 class _InProcessShards:
-    """Every shard harness in the calling process (the 1-worker set)."""
+    """Every shard harness of one run, stepped in plan declaration order."""
 
     def __init__(self, spec: "ScenarioSpec", capture: bool = False) -> None:
         plan = spec.shards
@@ -428,146 +367,6 @@ class _InProcessShards:
     def finish(self) -> dict[str, dict]:
         return {name: self.harnesses[name].finish() for name in self.order}
 
-    def close(self) -> None:
-        pass
-
-
-def _shard_worker(conn: Any, spec_json: str, names: Sequence[str],
-                  capture: bool) -> None:
-    """Worker-process loop owning a subset of the shards.
-
-    Speaks a tiny command protocol over the pipe — ``("peeks",)``,
-    ``("epoch", window, inbound)``, ``("finish",)``, ``("close",)`` —
-    replying ``("ok", payload)`` or ``("error", message)``.  Messages
-    cross the pipe in plain-data form only.
-    """
-    from ..scenario.spec import ScenarioSpec
-    spec = ScenarioSpec.from_json(spec_json)
-    plan = spec.shards
-    by_name = {shard.name: shard for shard in plan.shards}
-    harnesses = {
-        name: ShardHarness(spec, by_name[name], _peer_links(plan, name),
-                           capture=capture)
-        for name in names
-    }
-    while True:
-        command = conn.recv()
-        kind = command[0]
-        try:
-            if kind == "peeks":
-                reply: Any = {name: harnesses[name].peek()
-                              for name in names}
-            elif kind == "epoch":
-                _, window, inbound = command
-                for name in names:
-                    for data in inbound.get(name, ()):
-                        harnesses[name].inject(message_from_dict(data))
-                for name in names:
-                    harnesses[name].advance(window)
-                outbound = []
-                peeks = {}
-                for name in names:
-                    outbound.extend(m.to_dict()
-                                    for m in harnesses[name].drain())
-                    peeks[name] = harnesses[name].peek()
-                reply = (outbound, peeks)
-            elif kind == "finish":
-                reply = {name: harnesses[name].finish() for name in names}
-            elif kind == "close":
-                conn.close()
-                return
-            else:
-                raise ValueError(f"unknown shard command {kind!r}")
-        except Exception as exc:  # noqa: BLE001 - shipped to the parent
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            raise
-        conn.send(("ok", reply))
-
-
-class _WorkerShards:
-    """Shards packed round-robin onto long-lived worker processes.
-
-    Shard *i* (in plan declaration order) lives on worker ``i % n`` for
-    the whole run, so per-shard state persists across epochs; every
-    epoch is one synchronous command round-trip per worker.
-    """
-
-    def __init__(self, spec: "ScenarioSpec", workers: int,
-                 capture: bool = False) -> None:
-        plan = spec.shards
-        self.order = [shard.name for shard in plan.shards]
-        spec_json = spec.to_json()
-        self._assignments = [self.order[index::workers]
-                             for index in range(workers)]
-        self._conns = []
-        self._procs = []
-        for assigned in self._assignments:
-            parent_conn, child_conn = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_shard_worker,
-                args=(child_conn, spec_json, assigned, capture),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    def _round_trip(self, command: tuple) -> list:
-        for conn in self._conns:
-            conn.send(command)
-        replies = []
-        for conn, assigned in zip(self._conns, self._assignments):
-            status, payload = conn.recv()
-            if status != "ok":
-                raise RuntimeError(
-                    f"shard worker for {assigned} failed: {payload}")
-            replies.append(payload)
-        return replies
-
-    def peeks(self) -> dict[str, float]:
-        peeks: dict[str, float] = {}
-        for reply in self._round_trip(("peeks",)):
-            peeks.update(reply)
-        return peeks
-
-    def run_epoch(self, window: float, inbound: Mapping[str, list],
-                  ) -> tuple[list, dict[str, float]]:
-        for conn, assigned in zip(self._conns, self._assignments):
-            batch = {name: [m.to_dict() for m in inbound[name]]
-                     for name in assigned if name in inbound}
-            conn.send(("epoch", window, batch))
-        outbound: list = []
-        peeks: dict[str, float] = {}
-        for conn, assigned in zip(self._conns, self._assignments):
-            status, payload = conn.recv()
-            if status != "ok":
-                raise RuntimeError(
-                    f"shard worker for {assigned} failed: {payload}")
-            sent, worker_peeks = payload
-            outbound.extend(message_from_dict(data) for data in sent)
-            peeks.update(worker_peeks)
-        return outbound, peeks
-
-    def finish(self) -> dict[str, dict]:
-        payloads: dict[str, dict] = {}
-        for reply in self._round_trip(("finish",)):
-            payloads.update(reply)
-        return payloads
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive teardown
-                proc.terminate()
-                proc.join(timeout=10)
-        for conn in self._conns:
-            conn.close()
-
 
 # ---------------------------------------------------------------------------
 # Result merge
@@ -586,12 +385,11 @@ def _merge_payloads(spec: "ScenarioSpec", order: Sequence[str],
     captured, fold through the standard
     :class:`~repro.observability.federation.TelemetryMerge` into one
     ``telemetry-fleet/v1`` view.  Everything is a pure function of the
-    payload set — the worker count leaves no trace.
+    payload set.
     """
     from ..observability.federation import TelemetryMerge
     from ..scenario.result import ScenarioResult
-    results = {name: ScenarioResult.from_json(payloads[name]["result"])
-               for name in order}
+    results = {name: payloads[name]["result"] for name in order}
     extras = {name: payloads[name]["extras"] for name in order}
     remote_finished = sum(e["remote_finished"] for e in extras.values())
     makespans = [results[name].makespan for name in order]
@@ -657,7 +455,7 @@ def _merge_payloads(spec: "ScenarioSpec", order: Sequence[str],
     if snapshots:
         merge = TelemetryMerge()
         for snapshot in snapshots:
-            merge.add_json(snapshot)
+            merge.add(snapshot)
         fleet = merge.fleet()
     return merged, fleet
 
@@ -673,13 +471,21 @@ class ShardedScenarioRuntime:
     through the conservative epoch loop by :meth:`execute`.  Mirrors
     the single-loop runtime's surface where it matters (``tasks``,
     :meth:`finalize`, :meth:`execute`), so spec tooling works on both.
+
+    ``capture=True`` records per-shard telemetry even when the spec
+    declares no observer (``None`` captures exactly when it does);
+    the capture never changes the result bytes.  After
+    :meth:`execute`, ``telemetry`` holds the merged
+    ``telemetry-fleet/v1`` view (``None`` without capture) and
+    ``epochs`` the number of epoch windows run.
     """
 
     def __init__(self, spec: "ScenarioSpec", capture: bool | None = None,
                  ) -> None:
         if spec.shards is None:
             raise ShardConfigError(
-                f"scenario {spec.name!r} declares no shards")
+                f"scenario {spec.name!r} declares no shards; add a "
+                f"'shards' section (see docs/SCENARIOS.md)")
         self.spec = spec
         declared = bool(spec.observer or spec.slos is not None)
         self.capture = declared if capture is None else capture
@@ -693,24 +499,41 @@ class ShardedScenarioRuntime:
         self._result: "ScenarioResult | None" = None
 
     @property
-    def harnesses(self) -> dict[str, ShardHarness]:
-        """The live per-shard harnesses, by shard name."""
-        return self._set.harnesses
-
-    @property
     def tasks(self) -> list:
         """Every locally generated task, in shard declaration order."""
         return [task for name in self._set.order
                 for task in self._set.harnesses[name].runtime.tasks]
 
     def drive(self) -> None:
-        """Run the conservative epoch loop to completion."""
+        """Run the conservative epoch loop to completion.
+
+        Each epoch: compute every shard's *effective* horizon (its next
+        local event, or an earlier undelivered message), stop when
+        nothing remains at or below the run's bound, otherwise open a
+        window of ``lookahead`` past the global minimum, deliver the
+        pending batch, advance every shard to the barrier, and collect
+        the next batch.  Counts the epochs into ``epochs``, part of the
+        coupling record.
+        """
         if self._driven:
             raise RuntimeError("this sharded runtime was already driven; "
                                "build a fresh one per run")
         self._driven = True
-        self.epochs = _drive_epochs(self._set, bound=self._bound,
-                                    lookahead=self.lookahead)
+        pending: dict[str, list] = {}
+        peeks = self._set.peeks()
+        while True:
+            effective = dict(peeks)
+            for dst, messages in pending.items():
+                horizon = min(m.deliver_time for m in messages)
+                if horizon < effective.get(dst, float("inf")):
+                    effective[dst] = horizon
+            floor = min(effective.values(), default=float("inf"))
+            if floor > self._bound:
+                break
+            outbound, peeks = self._set.run_epoch(floor + self.lookahead,
+                                                  pending)
+            pending = _route_messages(outbound)
+            self.epochs += 1
 
     def finalize(self) -> None:
         """Stop every shard's periodic processes (idempotent)."""
@@ -731,55 +554,3 @@ class ShardedScenarioRuntime:
             self.spec, self._set.order, payloads, epochs=self.epochs,
             lookahead=self.lookahead)
         return self._result
-
-
-@dataclass(frozen=True)
-class ShardedOutcome:
-    """What one sharded run produced: merged result + fleet telemetry."""
-
-    result: "ScenarioResult"
-    telemetry: dict | None
-    epochs: int
-    workers: int
-
-
-def run_sharded(spec: "ScenarioSpec", *, workers: int = 1,
-                observe: bool = False) -> ShardedOutcome:
-    """Execute a sharded spec across ``workers`` processes.
-
-    ``workers=1`` runs every shard in-process; more workers pack shards
-    round-robin onto long-lived processes (capped at the shard count —
-    extra workers would idle).  ``observe=True`` captures per-shard
-    telemetry even when the spec declares no observer.  The merged
-    result and telemetry are byte-identical for every worker count:
-    that is the module's determinism contract, and what the goldens
-    pin.
-    """
-    plan = spec.shards
-    if plan is None:
-        raise ShardConfigError(
-            f"scenario {spec.name!r} declares no shards; add a 'shards' "
-            f"section (see docs/SCENARIOS.md)")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    declared = bool(spec.observer or spec.slos is not None)
-    capture = bool(observe or declared)
-    workers = min(workers, len(plan.shards))
-    if workers == 1:
-        runtime = ShardedScenarioRuntime(spec, capture=capture)
-        result = runtime.execute()
-        return ShardedOutcome(result=result, telemetry=runtime.telemetry,
-                              epochs=runtime.epochs, workers=1)
-    bound = spec.duration if spec.duration is not None else spec.max_time
-    lookahead = plan.lookahead()
-    order = [shard.name for shard in plan.shards]
-    shard_set = _WorkerShards(spec, workers, capture=capture)
-    try:
-        epochs = _drive_epochs(shard_set, bound=bound, lookahead=lookahead)
-        payloads = shard_set.finish()
-    finally:
-        shard_set.close()
-    result, fleet = _merge_payloads(spec, order, payloads, epochs=epochs,
-                                    lookahead=lookahead)
-    return ShardedOutcome(result=result, telemetry=fleet, epochs=epochs,
-                          workers=workers)

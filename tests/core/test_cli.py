@@ -5,11 +5,14 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import ARTIFACTS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_PATH = REPO_ROOT / "examples" / "specs" / "chaos_baseline.json"
 SLO_SPEC_PATH = REPO_ROOT / "examples" / "specs" / "chaos_slo.json"
+PLANET_SPEC_PATH = REPO_ROOT / "examples" / "specs" / "planet_scale.json"
 
 
 def run_cli(*args):
@@ -174,6 +177,53 @@ def test_run_spec_with_non_numeric_max_time_is_friendly(tmp_path):
     assert code == 2
     assert "max_time must be a number, not str" in err
     assert "Traceback" not in err
+
+
+def test_run_spec_with_infinite_max_time_is_friendly(tmp_path):
+    # Without a controller this spec would still drain and exit 0; with
+    # one, an infinite bound would tick forever.
+    data = json.loads(SPEC_PATH.read_text(encoding="utf-8"))
+    data["max_time"] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert '"max_time": Infinity' in bad.read_text(encoding="utf-8")
+    code, _, err = run_cli("run", str(bad))
+    assert code == 2
+    assert "max_time must be finite and positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("run", str(SPEC_PATH), "--out"), "missing value for --out"),
+    (("sweep", str(SPEC_PATH), "--workers", "x"),
+     "invalid sweep option --workers 'x'"),
+    (("sweep", str(SPEC_PATH), "--seeds", "a,b"),
+     "invalid sweep option --seeds 'a,b'"),
+    (("sweep", str(SPEC_PATH), "--scale", "x"),
+     "invalid sweep option --scale 'x'"),
+    (("sweep", str(SPEC_PATH), "--workers", "0"),
+     "invalid sweep option --workers '0': must be a finite number > 0"),
+    (("sweep", str(SPEC_PATH), "--policies", "fcfs,bogus"),
+     "invalid sweep option --policies 'fcfs,bogus': unknown queue policy"),
+    (("observe", "--federated", "--workers", "x"),
+     "invalid observe option --workers 'x'"),
+    (("run", str(PLANET_SPEC_PATH), "--shard-workers", "2"),
+     "usage: python -m repro run <spec.json> [--out <file>]"),
+    (("serve", "--inline", "--max-queue", "0"),
+     "invalid serve option --max-queue '0'"),
+    (("serve", "--inline", "--port", "70000"),
+     "invalid serve option --port '70000': must be in 0-65535"),
+], ids=["run-out-missing", "sweep-workers-x", "sweep-seeds-ab",
+        "sweep-scale-x", "sweep-workers-0", "sweep-policies-bogus",
+        "observe-federated-workers-x", "run-shard-workers",
+        "serve-max-queue-0", "serve-port-70000"])
+def test_bad_option_is_one_line_and_exit_2(args, message):
+    code, out, err = run_cli(*args)
+    assert code == 2
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_sweep_missing_spec_file_is_friendly():

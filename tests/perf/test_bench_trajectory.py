@@ -242,7 +242,7 @@ def test_main_exit_status(record: dict, tmp_path: Path,
 
 
 # ---------------------------------------------------------------------------
-# bench-shard/v1: the monolith-vs-sharded trajectory record
+# bench-shard/v2: the monolith-vs-sharded record
 # ---------------------------------------------------------------------------
 
 SHARD_BENCH_PATH = REPO_ROOT / "BENCH_shard.json"
@@ -258,26 +258,24 @@ def test_committed_shard_record_passes(shard_record: dict) -> None:
 
 
 def test_committed_shard_record_shape(shard_record: dict) -> None:
-    assert shard_record["schema"] == "bench-shard/v1"
+    assert shard_record["schema"] == "bench-shard/v2"
     assert set(shard_record) >= {"generated_with", "monolith", "sharded",
-                                 "speedups"}
+                                 "speedup"}
     assert shard_record["sharded"]["shards"] >= 4
 
 
-def test_shard_checker_rejects_digest_divergence(
+def test_shard_checker_rejects_malformed_digest(
         shard_record: dict, tmp_path: Path) -> None:
     edited = copy.deepcopy(shard_record)
-    first = next(iter(edited["sharded"]["configs"]))
-    edited["sharded"]["configs"][first]["digest"] = "0" * 64
+    edited["sharded"]["digest"] = "0" * 12
     problems = checker.check_record(_write(tmp_path, edited))
-    assert any("determinism contract" in p for p in problems)
+    assert problems == ["sharded digest lacks a sha-256"]
 
 
 def test_shard_checker_rejects_inconsistent_speedup(
         shard_record: dict, tmp_path: Path) -> None:
     edited = copy.deepcopy(shard_record)
-    first = next(iter(edited["speedups"]))
-    edited["speedups"][first] *= 3.0
+    edited["speedup"] *= 3.0
     problems = checker.check_record(_write(tmp_path, edited))
     assert any("disagrees with captured timings" in p for p in problems)
 

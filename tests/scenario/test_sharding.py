@@ -1,14 +1,14 @@
 """Sharded execution: config errors, determinism, goldens, CLI.
 
 The sharding determinism contract (docs/ARCHITECTURE.md, "Sharding")
-says a spec with a ``shards`` section produces the byte-identical
-merged result and fleet telemetry no matter how its per-region event
-loops are spread over OS processes, and no matter how tight the
-conservative epoch is within its legal range.  These tests pin that
-contract three ways: typed :class:`ShardConfigError` for every
-structural mistake, worker-count/epoch invariance (including a
-hypothesis sweep over random partitions), and a committed golden for
-the planet-scale gallery spec.
+says a spec with a ``shards`` section produces one merged result and
+fleet telemetry, a pure function of the spec, whose per-shard results
+do not depend on how tight the conservative epoch is within its legal
+range.  These tests pin that contract three ways: typed
+:class:`ShardConfigError` for every structural mistake, epoch and
+observation invariance (including a hypothesis sweep over random
+partitions), and a committed golden for the planet-scale gallery spec
+through every entry point that runs it.
 """
 
 import json
@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.observability.federation import fleet_digest
-from repro.scenario import (ClusterSpec, ScenarioSpec, ShardLinkSpec,
-                            ShardOffloadSpec, ShardPlanSpec, ShardSpec,
-                            TopologySpec, WorkloadSpec)
-from repro.sim.sharding import (ShardConfigError, ShardedScenarioRuntime,
-                                run_sharded)
+from repro.scenario import (ClusterSpec, ScenarioResult, ScenarioSpec,
+                            ShardLinkSpec, ShardOffloadSpec, ShardPlanSpec,
+                            ShardSpec, TopologySpec, WorkloadSpec)
+from repro.scenario.sweep import run_spec_observed
+from repro.sim.sharding import ShardConfigError, ShardedScenarioRuntime
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "sharding.json"
 SPEC_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
@@ -128,7 +128,7 @@ def test_run_sharded_requires_shards_section():
                         topology=TopologySpec(clusters=_clusters()),
                         workload=_workload("x"))
     with pytest.raises(ShardConfigError, match="declares no shards"):
-        run_sharded(spec)
+        ShardedScenarioRuntime(spec)
 
 
 def test_sharded_build_rejects_overrides():
@@ -137,7 +137,7 @@ def test_sharded_build_rejects_overrides():
 
 
 # ---------------------------------------------------------------------------
-# Determinism: worker-count and epoch invariance
+# Determinism: epoch and observation invariance
 # ---------------------------------------------------------------------------
 
 
@@ -151,37 +151,20 @@ def test_spec_roundtrip_preserves_shards_and_fingerprint():
 
 
 def test_sharded_run_crosses_the_boundary():
-    outcome = run_sharded(_sharded_spec())
-    coupling = outcome.result.shards["coupling"]
+    result = _sharded_spec().run()
+    coupling = result.shards["coupling"]
     assert coupling["offloaded"] > 0
     assert coupling["acked"] == coupling["offloaded"]
-    assert outcome.result.tasks_finished == outcome.result.tasks_total
-
-
-def test_worker_count_invariance():
-    spec = _sharded_spec()
-    baseline = run_sharded(spec, workers=1)
-    for workers in (2, 8):
-        outcome = run_sharded(spec, workers=workers)
-        assert outcome.result.digest() == baseline.result.digest(), (
-            f"digest diverged at {workers} workers")
+    assert result.tasks_finished == result.tasks_total
 
 
 def test_observation_does_not_change_result_bytes():
     spec = _sharded_spec()
-    plain = run_sharded(spec, workers=1)
-    observed = run_sharded(spec, workers=1, observe=True)
-    assert observed.result.to_json() == plain.result.to_json()
-    assert observed.telemetry is not None
+    plain = ShardedScenarioRuntime(spec)
+    observed = ShardedScenarioRuntime(spec, capture=True)
+    assert observed.execute().to_json() == plain.execute().to_json()
+    assert observed.telemetry["runs"] == ["shard-e", "shard-w"]
     assert plain.telemetry is None
-
-
-def test_fleet_telemetry_identical_across_workers():
-    spec = _sharded_spec()
-    serial = run_sharded(spec, workers=1, observe=True)
-    spread = run_sharded(spec, workers=2, observe=True)
-    assert serial.telemetry["runs"] == ["shard-e", "shard-w"]
-    assert fleet_digest(serial.telemetry) == fleet_digest(spread.telemetry)
 
 
 def test_sharded_runtime_supports_validation_tooling():
@@ -225,8 +208,8 @@ def test_epoch_and_partition_invariance(partition, epoch_fraction):
             shards=ShardPlanSpec(shards=shards, links=links,
                                  epoch=epoch))
 
-    base = run_sharded(build(None)).result
-    tight = run_sharded(build(round(0.5 * epoch_fraction, 6))).result
+    base = build(None).run()
+    tight = build(round(0.5 * epoch_fraction, 6)).run()
     for name, entry in base.shards["by_shard"].items():
         assert tight.shards["by_shard"][name] == entry
     assert tight.makespan == base.makespan
@@ -301,23 +284,51 @@ def test_golden_schema(golden):
 def test_planet_scale_digests_pinned(golden, planet_spec):
     pinned = golden["planet_scale"]
     assert planet_spec.fingerprint() == pinned["fingerprint"]
-    outcome = run_sharded(planet_spec, workers=1, observe=True)
-    assert outcome.result.digest() == pinned["result"]
-    assert fleet_digest(outcome.telemetry) == pinned["fleet"]
-    coupling = outcome.result.shards["coupling"]
-    assert coupling["epochs"] == pinned["epochs"]
+    runtime = ShardedScenarioRuntime(planet_spec, capture=True)
+    result = runtime.execute()
+    assert result.digest() == pinned["result"]
+    assert fleet_digest(runtime.telemetry) == pinned["fleet"]
+    coupling = result.shards["coupling"]
+    assert coupling["epochs"] == runtime.epochs == pinned["epochs"]
     assert coupling["offloaded"] == pinned["offloaded"]
 
 
-@pytest.mark.parametrize("workers", [2, 8])
-def test_planet_scale_worker_invariance(golden, planet_spec, workers):
-    outcome = run_sharded(planet_spec, workers=workers)
-    assert outcome.result.digest() == golden["planet_scale"]["result"]
+def test_planet_scale_sweep_point_is_pinned(golden, planet_spec):
+    """A sweep's observed run reports the plain run's bytes."""
+    result_json, snapshot_json = run_spec_observed(planet_spec.to_json(),
+                                                   "point-00000")
+    assert result_json == planet_spec.run().to_json()
+    assert (ScenarioResult.from_json(result_json).digest()
+            == golden["planet_scale"]["result"])
+    assert json.loads(snapshot_json)["run_id"] == "point-00000"
 
 
 # ---------------------------------------------------------------------------
-# CLI: shard config errors exit 2 with one friendly line
+# CLI: the planet spec prints its golden digest; shard config errors
+# exit 2 with one friendly line
 # ---------------------------------------------------------------------------
+
+
+def test_cli_run_prints_shard_line_and_golden_digest(golden, capsys):
+    from repro.__main__ import main
+    assert main(["run", str(SPEC_DIR / "planet_scale.json")]) == 0
+    out = capsys.readouterr().out
+    pinned = golden["planet_scale"]
+    assert "  shards: 3" in out
+    assert (f"{pinned['epochs']} epochs, {pinned['offloaded']} task(s) "
+            f"offloaded") in out
+    assert f"  digest: {pinned['result']}" in out
+
+
+def test_cli_observe_spec_prints_fleet_view_and_golden_digest(golden,
+                                                              capsys):
+    from repro.__main__ import main
+    assert main(["observe", "--spec",
+                 str(SPEC_DIR / "planet_scale.json")]) == 0
+    out = capsys.readouterr().out
+    assert "Fleet telemetry (3 shard(s))" in out
+    assert "shard-ap" in out
+    assert f"Result digest: {golden['planet_scale']['result']}" in out
 
 
 def test_cli_rejects_broken_shard_plan(tmp_path, capsys):
@@ -329,10 +340,3 @@ def test_cli_rejects_broken_shard_plan(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "ShardConfigError" in err
-
-
-def test_cli_requires_shards_for_shard_workers(tmp_path, capsys):
-    from repro.__main__ import main
-    assert main(["run", str(SPEC_DIR / "chaos_baseline.json"),
-                 "--shard-workers", "2"]) == 2
-    assert "declares no shards" in capsys.readouterr().err

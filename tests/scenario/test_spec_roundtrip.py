@@ -123,11 +123,14 @@ def test_validation_errors():
     ("max_time", "true"), ("horizon", "true"), ("horizon", "NaN"),
     ("horizon", '"1000"'), ("duration", "true"), ("duration", "NaN"),
     ("availability_slo", "true"), ("availability_slo", '"0.5"'),
-    ("injection_jitter", "true"), ("injection_jitter", "NaN")])
+    ("injection_jitter", "true"), ("injection_jitter", "NaN"),
+    ("max_time", "Infinity"), ("horizon", "Infinity"),
+    ("duration", "Infinity")])
 def test_time_and_rate_fields_must_be_numbers_in_range(small_spec, key,
                                                        token):
-    # A string, a bool or NaN must fail at load, not at run time, and
-    # a non-positive time span must not run as a no-op.
+    # A string, a bool or NaN must fail at load, not at run time, a
+    # non-positive time span must not run as a no-op, and an infinite
+    # one must not let a periodic controller tick forever.
     data = small_spec.to_dict()
     data[key] = json.loads(token)
     with pytest.raises(ValueError, match=key):

@@ -126,6 +126,15 @@ class TestRunLifecycle:
             assert outcome["status"] == 202
             other.wait(outcome["job_id"], timeout=60)
 
+    def test_infinite_max_time_is_400(self, client):
+        data = service_spec().to_dict()
+        data["max_time"] = float("inf")
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(json.dumps(data))
+        assert excinfo.value.status == 400
+        assert ("max_time must be finite and positive"
+                in excinfo.value.body["error"])
+
     def test_unknown_routes_and_ids(self, client):
         for call in (lambda: client.status("ghost"),
                      lambda: client.result("ghost"),

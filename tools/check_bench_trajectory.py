@@ -46,7 +46,7 @@ SCHEMA = "bench-sim-core/v1"
 # Sharding records compare a monolithic spec against a sharded one —
 # two different fingerprints by construction — so they carry their own
 # schema with its own invariants (see _check_shard_record).
-SHARD_SCHEMA = "bench-shard/v1"
+SHARD_SCHEMA = "bench-shard/v2"
 SHARD_MIN_SHARDS = 4
 # Speedups are recomputed from the captured elapsed times; allow for
 # rounding in the committed record.
@@ -152,26 +152,24 @@ def _digest_drift_diff(scenario: str, before_entry: dict,
 
 
 def _check_shard_record(record: dict) -> list[str]:
-    """Validate a ``bench-shard/v1`` record (monolith vs sharded).
+    """Validate a ``bench-shard/v2`` record (monolith vs sharded).
 
     The record's claim is different from a sim-core trajectory: the
-    monolith and the sharded runs are *different specs* (one declares
+    monolith and the sharded run are *different specs* (one declares
     ``shards``), so their fingerprints and digests legitimately
     differ.  What must hold instead:
 
     * both sides carry well-formed fingerprints, positive timings, and
       sha-256 digests;
-    * every sharded worker-count configuration produced the identical
-      digest (the conservative-coupling determinism contract);
-    * every committed speedup agrees with the captured timings;
+    * the committed speedup agrees with the captured timings;
     * the sharded plan has at least ``SHARD_MIN_SHARDS`` shards.
 
-    The speedups are reported, not gated: sharding is a modelling
+    The speedup is reported, not gated: sharding is a modelling
     feature (per-region schedulers, WAN offload), and whether the
     partitioned loops run faster than the monolith depends on the host.
     """
     problems = []
-    for key in ("generated_with", "monolith", "sharded", "speedups"):
+    for key in ("generated_with", "monolith", "sharded", "speedup"):
         if key not in record:
             problems.append(f"missing top-level section '{key}'")
     monolith = record.get("monolith", {})
@@ -182,59 +180,27 @@ def _check_shard_record(record: dict) -> list[str]:
         if not _valid_fingerprint(section.get("fingerprint")):
             problems.append(f"'{name}' has a malformed spec fingerprint: "
                             f"{section.get('fingerprint')!r}")
-    elapsed = monolith.get("elapsed_s")
-    if not isinstance(elapsed, (int, float)) or not elapsed > 0:
-        problems.append(f"monolith has bad elapsed_s: {elapsed!r}")
-    sha = monolith.get("digest")
-    if not isinstance(sha, str) or len(sha) != 64:
-        problems.append("monolith digest lacks a sha-256")
+        elapsed = section.get("elapsed_s")
+        if not isinstance(elapsed, (int, float)) or not elapsed > 0:
+            problems.append(f"{name} has bad elapsed_s: {elapsed!r}")
+        sha = section.get("digest")
+        if not isinstance(sha, str) or len(sha) != 64:
+            problems.append(f"{name} digest lacks a sha-256")
     shards = sharded.get("shards")
     if not isinstance(shards, int) or shards < SHARD_MIN_SHARDS:
         problems.append(f"sharded plan has {shards!r} shards; the record "
                         f"must demonstrate {SHARD_MIN_SHARDS}+")
-    configs = sharded.get("configs")
-    if not isinstance(configs, dict) or not configs:
-        return problems + ["sharded section has no worker configs"]
-    digests = set()
-    for workers, entry in configs.items():
-        if not isinstance(entry, dict):
-            problems.append(f"sharded config {workers} is not an object")
-            continue
-        config_elapsed = entry.get("elapsed_s")
-        if not isinstance(config_elapsed, (int, float)) \
-                or not config_elapsed > 0:
-            problems.append(f"sharded config {workers} has bad "
-                            f"elapsed_s: {config_elapsed!r}")
-        config_sha = entry.get("digest")
-        if not isinstance(config_sha, str) or len(config_sha) != 64:
-            problems.append(f"sharded config {workers} lacks a sha-256")
-        else:
-            digests.add(config_sha)
-    if len(digests) > 1:
-        problems.append(f"sharded digests differ across worker counts "
-                        f"({sorted(d[:12] for d in digests)}); the "
-                        f"determinism contract demands byte-identity")
-    speedups = record.get("speedups", {})
-    if not isinstance(speedups, dict) or not speedups:
-        return problems + ["speedups section is empty"]
-    for workers, ratio in speedups.items():
-        if not isinstance(ratio, (int, float)) or not math.isfinite(ratio) \
-                or ratio <= 0:
-            problems.append(f"speedup {workers} is not a positive finite "
-                            f"ratio: {ratio!r}")
-            continue
-        entry = configs.get(workers)
-        if not isinstance(entry, dict) or not isinstance(
-                entry.get("elapsed_s"), (int, float)):
-            problems.append(f"speedup {workers} has no matching sharded "
-                            f"timing")
-            continue
-        if not isinstance(elapsed, (int, float)) or not elapsed > 0:
-            continue
-        expected = elapsed / entry["elapsed_s"]
+    ratio = record.get("speedup")
+    if not isinstance(ratio, (int, float)) or not math.isfinite(ratio) \
+            or ratio <= 0:
+        return problems + [f"speedup is not a positive finite ratio: "
+                           f"{ratio!r}"]
+    timings = (monolith.get("elapsed_s"), sharded.get("elapsed_s"))
+    if all(isinstance(t, (int, float)) and t > 0 for t in timings):
+        expected = timings[0] / timings[1]
         if abs(ratio - expected) > RATIO_SLACK * expected:
-            problems.append(f"speedup {workers} ({ratio:.2f}x) disagrees "
-                            f"with captured timings ({expected:.2f}x)")
+            problems.append(f"speedup ({ratio:.2f}x) disagrees with "
+                            f"captured timings ({expected:.2f}x)")
     return problems
 
 
@@ -343,8 +309,9 @@ def main(arguments: list[str]) -> int:
                 print(f"FAIL {path}: {message}")
             continue
         record = json.loads(path.read_text(encoding="utf-8"))
+        speedups = record.get("speedups") or {"sharded": record["speedup"]}
         ratios = ", ".join(f"{name} {ratio:.2f}x" for name, ratio
-                           in sorted(record["speedups"].items()))
+                           in sorted(speedups.items()))
         print(f"OK {path}: {ratios}")
     print(f"checked {len(paths)} records: "
           f"{'all OK' if not failed else f'{failed} failed'}")

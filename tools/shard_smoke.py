@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""CI smoke check for the sharding determinism contract.
+"""CI smoke check for the sharded planet-scale run on a fresh host.
 
 Runs the committed three-region gallery spec
-(``examples/specs/planet_scale.json``) twice — all shards in one
-process, then spread over two worker processes — with federated
-observation armed both times, and demands:
+(``examples/specs/planet_scale.json``) twice — plain, then with
+per-shard telemetry capture — and demands:
 
-* the merged ``ScenarioResult`` digests are byte-identical;
-* the merged fleet ``TelemetrySnapshot`` digests are byte-identical;
-* observation did not change the result bytes (a plain serial run
-  must produce the same digest as the observed one);
+* the merged ``ScenarioResult`` digest and the merged fleet
+  ``TelemetrySnapshot`` digest equal the goldens pinned in
+  ``tests/scenario/goldens/sharding.json``, so a fresh host computes
+  the same bytes;
+* observation did not change the result bytes (the plain run must
+  produce the same result JSON as the observed one);
 * real cross-shard traffic flowed (the spec's ``ap`` region offloads
   functions to ``us``), so the epoch barrier and message path were
   actually exercised, not skipped.
@@ -19,33 +20,37 @@ check either way.  See docs/ARCHITECTURE.md ("Sharding") for the
 contract this pins.
 
 Usage:
-    PYTHONPATH=src python tools/shard_smoke.py [spec.json]
+    PYTHONPATH=src python tools/shard_smoke.py
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SPEC = REPO_ROOT / "examples" / "specs" / "planet_scale.json"
+SPEC_PATH = REPO_ROOT / "examples" / "specs" / "planet_scale.json"
+GOLDEN_PATH = REPO_ROOT / "tests" / "scenario" / "goldens" / "sharding.json"
 
 
-def main(arguments: list[str]) -> int:
+def main() -> int:
     """Run the smoke check; return a process exit code."""
     from repro.observability.federation import fleet_digest
     from repro.scenario import ScenarioSpec
-    from repro.sim.sharding import run_sharded
+    from repro.sim.sharding import ShardedScenarioRuntime
 
-    spec_path = Path(arguments[0]) if arguments else DEFAULT_SPEC
-    spec = ScenarioSpec.from_json(spec_path.read_text(encoding="utf-8"))
-    print(f"spec {spec_path.name}: {spec.name!r}, "
+    spec = ScenarioSpec.from_json(SPEC_PATH.read_text(encoding="utf-8"))
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    pinned = golden["planet_scale"]
+    print(f"spec {SPEC_PATH.name}: {spec.name!r}, "
           f"{len(spec.shards.shards)} shards, "
           f"fingerprint {spec.fingerprint()}")
 
-    plain = run_sharded(spec, workers=1)
-    serial = run_sharded(spec, workers=1, observe=True)
-    spread = run_sharded(spec, workers=2, observe=True)
+    plain = spec.run()
+    observed = ShardedScenarioRuntime(spec, capture=True)
+    result = observed.execute()
+    fleet = fleet_digest(observed.telemetry)
     failures = []
 
     def check(label: str, ok: bool, detail: str) -> None:
@@ -53,16 +58,19 @@ def main(arguments: list[str]) -> int:
         if not ok:
             failures.append(label)
 
-    check("result digest (1 vs 2 workers)",
-          serial.result.digest() == spread.result.digest(),
-          serial.result.digest()[:16])
-    check("fleet telemetry digest (1 vs 2 workers)",
-          fleet_digest(serial.telemetry) == fleet_digest(spread.telemetry),
-          fleet_digest(serial.telemetry)[:16])
+    check("spec fingerprint matches the golden",
+          spec.fingerprint() == pinned["fingerprint"],
+          f"{spec.fingerprint()} (golden {pinned['fingerprint']})")
+    check("result digest matches the golden",
+          result.digest() == pinned["result"],
+          f"{result.digest()[:16]} (golden {pinned['result'][:16]})")
+    check("fleet telemetry digest matches the golden",
+          fleet == pinned["fleet"],
+          f"{fleet[:16]} (golden {pinned['fleet'][:16]})")
     check("observation leaves result bytes unchanged",
-          plain.result.to_json() == serial.result.to_json(),
-          plain.result.digest()[:16])
-    coupling = serial.result.shards["coupling"]
+          plain.to_json() == result.to_json(),
+          plain.digest()[:16])
+    coupling = result.shards["coupling"]
     check("cross-shard traffic flowed",
           coupling["offloaded"] > 0
           and coupling["acked"] == coupling["offloaded"],
@@ -71,10 +79,9 @@ def main(arguments: list[str]) -> int:
     if failures:
         print(f"shard smoke FAILED: {failures}")
         return 1
-    print("shard smoke passed: one loop or two processes, "
-          "byte-identical")
+    print("shard smoke passed: golden digests, observation-invariant")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
