@@ -204,6 +204,8 @@ class CapacityIndex:
         self._available_cache_epoch = -1
         #: Machines up, kept by ``machine_availability``.
         self._available_count = 0
+        #: Cores allocated fleet-wide, kept by ``machine_delta``.
+        self._used_cores = 0
         self._topology_version = -1
         #: Numpy capacity mirror, rebuilt with the topology.
         self.vectors: CapacityVectors
@@ -229,6 +231,7 @@ class CapacityIndex:
             machines.extend(entry.machines)
         self._machines = tuple(machines)
         self._available_count = sum(1 for m in machines if m._available)
+        self._used_cores = sum(entry.used_cores for entry in self._entries)
         self.vectors = CapacityVectors(self._machines)
         self.availability_epoch += 1
         self.release_epoch += 1
@@ -264,6 +267,7 @@ class CapacityIndex:
         if entry is None:
             return
         entry.used_cores += cores_delta
+        self._used_cores += cores_delta
         if machine._available:
             entry.free_cores -= cores_delta
         if cores_delta <= 0:
@@ -328,9 +332,9 @@ class CapacityIndex:
         return self._available_count
 
     def used_cores_total(self) -> int:
-        """Cores currently allocated across the datacenter."""
+        """Cores currently allocated across the datacenter (counter read)."""
         self._check_topology()
-        return sum(entry.used_cores for entry in self._entries)
+        return self._used_cores
 
     def total_cores(self) -> int:
         """Installed cores across the datacenter (cached)."""

@@ -215,24 +215,35 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
-    def _get(self, name: str, kind: type, factory):
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
-        elif type(instrument) is not kind:
+    def _create(self, found, kind: type, name: str, *args):
+        """Register ``kind(name, *args)``: the lookup for ``name`` missed.
+
+        The getters below return an existing instrument of the right
+        kind after one dict lookup and build nothing (no closure, no
+        instrument) on that path; only a miss creates an instrument,
+        and only a miss can find (``found``) the name taken by another
+        kind.
+        """
+        if found is not None:
             raise TypeError(
                 f"metric {name!r} already registered as "
-                f"{type(instrument).__name__}, not {kind.__name__}")
+                f"{type(found).__name__}, not {kind.__name__}")
+        instrument = self._instruments[name] = kind(name, *args)
         return instrument
 
     def counter(self, name: str, description: str = "") -> Counter:
         """Get or create the counter called ``name``."""
-        return self._get(name, Counter, lambda: Counter(name, description))
+        instrument = self._instruments.get(name)
+        if type(instrument) is Counter:
+            return instrument
+        return self._create(instrument, Counter, name, description)
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         """Get or create the gauge called ``name``."""
-        return self._get(name, Gauge, lambda: Gauge(name, description))
+        instrument = self._instruments.get(name)
+        if type(instrument) is Gauge:
+            return instrument
+        return self._create(instrument, Gauge, name, description)
 
     def histogram(self, name: str,
                   boundaries: Sequence[float] = DEFAULT_BUCKETS,
@@ -242,8 +253,11 @@ class MetricsRegistry:
         The ``boundaries`` argument only applies on first creation;
         later lookups return the existing instrument unchanged.
         """
-        return self._get(name, Histogram,
-                         lambda: Histogram(name, boundaries, description))
+        instrument = self._instruments.get(name)
+        if type(instrument) is Histogram:
+            return instrument
+        return self._create(instrument, Histogram, name, boundaries,
+                            description)
 
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         """The instrument registered under ``name``, or ``None``.

@@ -24,6 +24,7 @@ one deliberate exception and are quarantined in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .export import chrome_trace, dumps_deterministic
@@ -79,7 +80,9 @@ class Observer:
             raise RuntimeError("observer is already attached; detach first")
         sim.observer = self
         self.sim = sim
-        self.tracer.bind_clock(lambda: sim.now)
+        # The clock attribute read through C callables: a span stamp
+        # then runs no Python frame (the ``now`` property costs one).
+        self.tracer.bind_clock(partial(getattr, sim, "_now"))
         return self
 
     def detach(self) -> None:

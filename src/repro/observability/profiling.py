@@ -27,7 +27,7 @@ the separate :meth:`SubsystemProfiler.wall_report`.
 
 from __future__ import annotations
 
-__all__ = ["SubsystemProfiler", "DEFAULT_RULES"]
+__all__ = ["SubsystemProfiler", "DEFAULT_RULES", "LABEL_CACHE_SIZE"]
 
 #: Prefix → subsystem classification of process names, checked in
 #: order.  Unmatched non-empty names fall into ``"other"``; events with
@@ -47,9 +47,17 @@ DEFAULT_RULES: tuple[tuple[str, str], ...] = (
     ("feeder", "workload"),
 )
 
+#: Most callback labels a profiler keeps resolved to their bucket.
+#: Labels carry task names (``exec-<task>``, ``hedge-watch-<task>``),
+#: so the map starts over when full instead of growing with the run.
+LABEL_CACHE_SIZE = 1024
+
 
 class _Bucket:
-    """Accumulated cost of one subsystem."""
+    """Accumulated cost of one subsystem.
+
+    :meth:`repro.sim.Simulator.step` adds to these fields in place.
+    """
 
     __slots__ = ("events", "sim_time", "wall_time")
 
@@ -76,29 +84,40 @@ class SubsystemProfiler:
         #: calls made while this profiler was attached (includes
         #: kernel overhead the per-callback timers cannot see).
         self.run_wall_time = 0.0
-        self._cache: dict[str, str] = {}
+        #: Callback label -> its subsystem's bucket, so a profiled
+        #: step classifies a label once; at most
+        #: :data:`LABEL_CACHE_SIZE` entries.
+        self.label_buckets: dict[str, _Bucket] = {}
 
     def classify(self, name: str) -> str:
         """Map a process name to its subsystem label."""
         if not name:
             return "kernel"
-        label = self._cache.get(name)
-        if label is None:
-            label = "other"
-            for prefix, subsystem in self.rules:
-                if name.startswith(prefix):
-                    label = subsystem
-                    break
-            self._cache[name] = label
-        return label
+        for prefix, subsystem in self.rules:
+            if name.startswith(prefix):
+                return subsystem
+        return "other"
+
+    def bucket(self, label: str) -> _Bucket:
+        """The bucket of ``label``'s subsystem, via :attr:`label_buckets`."""
+        bucket = self.label_buckets.get(label)
+        if bucket is None:
+            bucket = self._bucket(self.classify(label))
+            if len(self.label_buckets) >= LABEL_CACHE_SIZE:
+                self.label_buckets.clear()
+            self.label_buckets[label] = bucket
+        return bucket
+
+    def _bucket(self, subsystem: str) -> _Bucket:
+        bucket = self._buckets.get(subsystem)
+        if bucket is None:
+            bucket = self._buckets[subsystem] = _Bucket()
+        return bucket
 
     def record(self, subsystem: str, sim_dt: float = 0.0,
                wall_dt: float = 0.0, events: int = 0) -> None:
         """Add one attribution sample to ``subsystem``'s bucket."""
-        bucket = self._buckets.get(subsystem)
-        if bucket is None:
-            bucket = _Bucket()
-            self._buckets[subsystem] = bucket
+        bucket = self._bucket(subsystem)
         bucket.events += events
         bucket.sim_time += sim_dt
         bucket.wall_time += wall_dt

@@ -281,14 +281,33 @@ class AlertLog:
 
 
 class _ObjectiveState:
-    """Per-objective engine state: bounded (time, good, bad) ring."""
+    """Per-objective engine state: bounded (time, good, bad) ring.
 
-    __slots__ = ("objective", "samples")
+    ``times`` mirrors the samples' times in a ring of the same length,
+    so a burn window's start is found by bisection.
+    """
+
+    __slots__ = ("objective", "samples", "times")
 
     def __init__(self, objective: ServiceObjective, max_samples: int,
                  baseline: tuple[float, float, float]) -> None:
         self.objective = objective
         self.samples = deque([baseline], maxlen=max_samples)
+        self.times = deque([baseline[0]], maxlen=max_samples)
+
+    def append(self, sample: tuple[float, float, float]) -> None:
+        """Record the newest sample (the oldest falls off when full)."""
+        self.samples.append(sample)
+        self.times.append(sample[0])
+
+    def since(self, cutoff: float) -> tuple[float, float, float]:
+        """The newest sample at or before ``cutoff`` (within 1e-9).
+
+        Falls back to the oldest sample when every sample is newer.
+        Sample times never decrease, so bisection finds it.
+        """
+        index = bisect_right(self.times, cutoff + 1e-9)
+        return self.samples[index - 1 if index else 0]
 
 
 class SLOEngine:
@@ -343,7 +362,7 @@ class SLOEngine:
         for state in self._states:
             objective = state.objective
             good, bad = objective.good_bad(self.metrics, now)
-            state.samples.append((now, good, bad))
+            state.append((now, good, bad))
             budget = objective.error_budget
             for rule in self.rules:
                 burn_long = self._burn(state, now, rule.long_window, budget)
@@ -370,13 +389,7 @@ class SLOEngine:
     def _burn(state: _ObjectiveState, now: float, window: float,
               budget: float) -> float:
         """Error fraction over the trailing window, as a budget multiple."""
-        cutoff = now - window
-        then = state.samples[0]
-        for sample in reversed(state.samples):
-            if sample[0] <= cutoff + 1e-9:
-                then = sample
-                break
-        _, good_then, bad_then = then
+        _, good_then, bad_then = state.since(now - window)
         _, good_now, bad_now = state.samples[-1]
         delta_bad = bad_now - bad_then
         delta_total = (good_now - good_then) + delta_bad

@@ -23,6 +23,12 @@ from typing import Any, Callable, Hashable
 __all__ = ["Span", "Tracer"]
 
 
+def _no_clock() -> float:
+    raise RuntimeError(
+        "tracer has no clock; attach the Observer to a Simulator "
+        "(or call bind_clock) before tracing")
+
+
 class Span:
     """One named interval of simulated time, with causal parentage."""
 
@@ -80,22 +86,20 @@ class Tracer:
     """
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock = clock
+        self._clock = _no_clock if clock is None else clock
         self._next_id = 1
         #: All spans ever begun, in begin order (deterministic).
         self.spans: list[Span] = []
         self._by_key: dict[Hashable, Span] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Set the time source used for span begin/end stamps."""
-        self._clock = clock
+        """Set the time source used for span begin/end stamps.
 
-    def _now(self) -> float:
-        if self._clock is None:
-            raise RuntimeError(
-                "tracer has no clock; attach the Observer to a Simulator "
-                "(or call bind_clock) before tracing")
-        return self._clock()
+        Spans call ``clock()`` directly on every stamp, so a clock
+        built from C callables (as the Observer binds) costs no Python
+        frame.
+        """
+        self._clock = clock
 
     # ------------------------------------------------------------------
     # Span lifecycle
@@ -109,7 +113,7 @@ class Tracer:
         stays in the trace, merely unaddressed) — this is what makes
         retried tasks trace naturally as one span per attempt cycle.
         """
-        span = Span(self._next_id, name, self._now(), category=category,
+        span = Span(self._next_id, name, self._clock(), category=category,
                     parent_id=None if parent is None else parent.span_id,
                     attrs=attrs)
         self._next_id += 1
@@ -123,7 +127,7 @@ class Tracer:
         if span.end is not None:
             raise RuntimeError(f"span #{span.span_id} {span.name!r} "
                                "already ended")
-        span.end = self._now()
+        span.end = self._clock()
         if attrs:
             span.attrs.update(attrs)
         return span

@@ -88,6 +88,14 @@ __all__ = [
 ]
 
 
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(value).__name__}")
+    return value
+
+
 def _range(value: Any) -> tuple[float, float] | None:
     """Interpret ``value`` as a (lo, hi) pair, or None for a fixed scalar."""
     if isinstance(value, (list, tuple)):
@@ -403,7 +411,8 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
         """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
+        return cls(kind=data["kind"],
+                   params=_object(data.get("params", {}), "workload.params"))
 
 
 # ---------------------------------------------------------------------------
@@ -1139,6 +1148,9 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a scenario needs a non-empty name")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, "
+                             f"not {type(self.seed).__name__}")
         spans = {"horizon": self.horizon, "max_time": self.max_time}
         if self.duration is not None:
             spans["duration"] = self.duration
@@ -1212,21 +1224,23 @@ class ScenarioSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
         """Rehydrate a spec from :meth:`to_dict` output.
 
-        Raises ``ValueError`` when ``data`` is not a mapping (a JSON
-        document whose top level is not an object).
+        Raises ``ValueError`` when ``data``, a section present in it or
+        ``workload.params`` is not a mapping (a JSON object); ``null``
+        leaves an optional section absent.
         """
-        if not isinstance(data, Mapping):
-            raise ValueError(f"a scenario spec must be a JSON object, "
-                             f"not {type(data).__name__}")
+        _object(data, "a scenario spec")
         schema = data.get("schema", "scenario-spec/v1")
         if schema != "scenario-spec/v1":
             raise ValueError(f"unsupported scenario schema {schema!r}")
         kwargs: dict[str, Any] = {
             "name": data["name"],
             "seed": data.get("seed", 0),
-            "topology": TopologySpec.from_dict(data["topology"]),
-            "workload": WorkloadSpec.from_dict(data["workload"]),
-            "scheduler": SchedulerSpec.from_dict(data.get("scheduler", {})),
+            "topology": TopologySpec.from_dict(
+                _object(data["topology"], "topology")),
+            "workload": WorkloadSpec.from_dict(
+                _object(data["workload"], "workload")),
+            "scheduler": SchedulerSpec.from_dict(
+                _object(data.get("scheduler", {}), "scheduler")),
             "observer": data.get("observer", False),
             "duration": data.get("duration"),
             "horizon": data.get("horizon", 1000.0),
@@ -1234,13 +1248,11 @@ class ScenarioSpec:
             "availability_slo": data.get("availability_slo", 0.0),
             "injection_jitter": data.get("injection_jitter", 0.0),
         }
-        for key, section_cls in _OPTIONAL_SECTIONS.items():
+        for key, section_cls in {**_OPTIONAL_SECTIONS,
+                                 "shards": ShardPlanSpec}.items():
             section = data.get(key)
             kwargs[key] = (None if section is None
-                           else section_cls.from_dict(section))
-        shards = data.get("shards")
-        kwargs["shards"] = (None if shards is None
-                            else ShardPlanSpec.from_dict(shards))
+                           else section_cls.from_dict(_object(section, key)))
         return cls(**kwargs)
 
     def to_json(self, indent: int | None = None) -> str:

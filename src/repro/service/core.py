@@ -511,7 +511,10 @@ class ScenarioService:
         deadline check, a breaker gate, then a single execution
         attempt whose outcome feeds the breaker, the tenant's retry
         budget, the cache, and the metrics that the SLO engine grades
-        at each telemetry tick.
+        at each telemetry tick.  A crash or timeout is a worker
+        failure: it counts against the breaker and may be retried.  An
+        error (the run itself raised) fails the job on its first
+        attempt and counts as an answer from the pool.
         """
         if not self._queue:
             return False
@@ -547,9 +550,17 @@ class ScenarioService:
                 result_json = self.executor.run(job.fingerprint,
                                                 job.spec_json, attempt)
         except ExecutionFailure as exc:
-            self._count("worker_failures")
-            self.breaker.record_failure()
-            self._handle_attempt_failure(job, exc)
+            if exc.kind == "error":
+                # The run raised.  A run is a pure function of its
+                # spec, so a retry would raise again; the pool
+                # answered, so the breaker counts a success.
+                self.breaker.record_success()
+                self._finish_failed(job, JobState.FAILED,
+                                    f"{exc.kind}: {exc}")
+            else:
+                self._count("worker_failures")
+                self.breaker.record_failure()
+                self._handle_attempt_failure(job, exc)
         else:
             self.breaker.record_success()
             if run_id is not None:

@@ -41,6 +41,7 @@ import contextlib
 import json
 import math
 import socket
+import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -333,6 +334,19 @@ class _InnerServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request: socket.socket,
+                     client_address: Any) -> None:
+        """Report a handler's exception, unless the client hung up.
+
+        A reset or broken connection (a client gone, or
+        :meth:`ServiceHTTPServer.stop` hanging up on a kept-alive one)
+        is no server fault; everything else gets socketserver's
+        traceback report.
+        """
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     def close_connections(self) -> None:
         """Shut down every open connection; its handler sees EOF."""

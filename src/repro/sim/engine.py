@@ -233,6 +233,8 @@ class Simulator:
         charged to the subsystem named by the callback's owner (the
         process it resumes, or the task execution it advances),
         falling back to the event's own name, then to the kernel.
+        Each label resolves to its subsystem's bucket through the
+        profiler's label map, and the bucket is updated in place.
         """
         previous = self._now
         self._now, _, event = heapq.heappop(self._queue)
@@ -240,22 +242,26 @@ class Simulator:
         event_label = getattr(event, "name", "") or ""
         callbacks = event.callbacks
         event.callbacks = None
-        primary: str | None = None
+        label_buckets = profiler.label_buckets
+        primary = None
         if callbacks is not NO_CALLBACKS:
             if type(callbacks) is not list:
                 callbacks = (callbacks,)
             for callback in callbacks:
                 owner = getattr(callback, "__self__", None)
                 label = getattr(owner, "name", None) or event_label
-                subsystem = profiler.classify(label)
+                bucket = label_buckets.get(label)
+                if bucket is None:
+                    bucket = profiler.bucket(label)
                 if primary is None:
-                    primary = subsystem
+                    primary = bucket
                 started = perf_counter()
                 callback(event)
-                profiler.record(subsystem, wall_dt=perf_counter() - started)
+                bucket.wall_time += perf_counter() - started
         if primary is None:
-            primary = profiler.classify(event_label)
-        profiler.record(primary, sim_dt=sim_dt, events=1)
+            primary = profiler.bucket(event_label)
+        primary.events += 1
+        primary.sim_time += sim_dt
         return event
 
     def advance_until(self, stop: float, bound: float | None = None,

@@ -168,6 +168,17 @@ def test_run_non_object_spec_is_friendly(tmp_path):
     assert "Traceback" not in err
 
 
+def test_run_spec_with_non_object_section_is_friendly(tmp_path):
+    data = json.loads(SPEC_PATH.read_text(encoding="utf-8"))
+    data["scheduler"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run_cli("run", str(bad))
+    assert code == 2
+    assert "scheduler must be a JSON object, not list" in err
+    assert "Traceback" not in err
+
+
 def test_run_spec_with_non_numeric_max_time_is_friendly(tmp_path):
     data = json.loads(SPEC_PATH.read_text(encoding="utf-8"))
     data["max_time"] = "nan"

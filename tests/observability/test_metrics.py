@@ -86,6 +86,19 @@ def test_registry_get_or_create_shares_instruments():
     assert "x" in registry
 
 
+def test_registry_hit_returns_the_instrument_as_created():
+    registry = MetricsRegistry()
+    gauge = registry.gauge("g", "first")
+    histogram = registry.histogram("h", (1.0, 2.0), "first")
+    # Description and boundaries apply only when the instrument is
+    # created; a hit returns it unchanged.
+    assert registry.gauge("g", "second") is gauge
+    assert registry.histogram("h", (5.0, 50.0), "second") is histogram
+    assert gauge.description == histogram.description == "first"
+    assert histogram.boundaries == (1.0, 2.0)
+    assert len(histogram.counts) == 3
+
+
 def test_registry_kind_collision_is_an_error():
     registry = MetricsRegistry()
     registry.counter("x")

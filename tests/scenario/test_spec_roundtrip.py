@@ -34,6 +34,7 @@ def test_optional_sections_roundtrip_as_none(small_spec):
     for key in ("autoscaler", "failures", "retries", "checkpoints",
                 "hedging", "shedding", "slos"):
         assert data[key] is None
+    data["shards"] = None  # omitted by to_dict; null means absent too
     assert ScenarioSpec.from_dict(data) == small_spec
 
 
@@ -134,4 +135,32 @@ def test_time_and_rate_fields_must_be_numbers_in_range(small_spec, key,
     data = small_spec.to_dict()
     data[key] = json.loads(token)
     with pytest.raises(ValueError, match=key):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("token", ["[]", '"x"', "3"])
+@pytest.mark.parametrize("section", [
+    "topology", "workload", "scheduler", "autoscaler", "failures",
+    "retries", "checkpoints", "hedging", "shedding", "slos", "shards",
+    "workload.params"])
+def test_sections_must_be_objects(full_spec, section, token):
+    # A list, string or number in place of a section must name the
+    # section in a ValueError: not crash with AttributeError, and not
+    # load as the section's defaults (an empty list once turned the
+    # retry policy on).
+    data = full_spec.to_dict()
+    if section == "workload.params":
+        data["workload"]["params"] = json.loads(token)
+    else:
+        data[section] = json.loads(token)
+    with pytest.raises(ValueError,
+                       match=f"{section} must be a JSON object"):
+        ScenarioSpec.from_dict(data)
+
+
+@pytest.mark.parametrize("token", ['"x"', "1.5", "true", "null"])
+def test_seed_must_be_an_integer(small_spec, token):
+    data = small_spec.to_dict()
+    data["seed"] = json.loads(token)
+    with pytest.raises(ValueError, match="seed must be an integer"):
         ScenarioSpec.from_dict(data)

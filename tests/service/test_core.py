@@ -1,6 +1,7 @@
 """The service core: lifecycle, resilience path, and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,11 @@ from repro.resilience import BreakerState
 from repro.scenario import ScenarioSpec, SweepRunner
 from repro.service import (JobState, ScenarioService, ServiceClock,
                            ServiceConfig)
+from repro.service.executors import ExecutionFailure
 
 from .conftest import inline_service, service_spec
+
+SPECS = Path(__file__).resolve().parents[2] / "examples" / "specs"
 
 
 class TestServiceClock:
@@ -286,6 +290,48 @@ class TestRetriesAndBreaker:
             job = service.jobs.get(f"run-{index + 1:06d}")
             assert job.state is JobState.DONE
             assert job.result_digest == specs[index].run().digest()
+
+    def _assert_failed_once_and_breaker_closed(self, service, job_id):
+        job = service.jobs.get(job_id)
+        assert job.state is JobState.FAILED
+        assert job.attempts == 1
+        assert job.error.startswith("error: ")
+        counters = service.metrics_snapshot()["counters"]
+        assert counters["service.requests_failed"] == 1.0
+        assert counters.get("service.worker_failures", 0.0) == 0.0
+        assert counters.get("service.retries", 0.0) == 0.0
+        assert service.breaker.state is BreakerState.CLOSED
+        assert service.tenant_stats("acme")["retry_budget"]["granted"] == 0
+        other = json.loads((SPECS / "chaos_slo.json").read_text())
+        assert service.submit(json.dumps(other), tenant="other").status \
+            == 202
+
+    def test_spec_whose_run_raises_fails_once_without_tripping(self):
+        """A run is a pure function of its spec: one attempt, no trip."""
+        data = json.loads((SPECS / "chaos_baseline.json").read_text())
+        data["topology"]["clusters"][0]["machines_per_rack"] = 0
+        service = inline_service()
+        outcome = service.submit(json.dumps(data), tenant="acme")
+        assert outcome.status == 202
+        service.pump()
+        self._assert_failed_once_and_breaker_closed(service,
+                                                    outcome.job_id)
+
+    def test_error_outcome_fails_once_without_tripping(self, spec):
+        class RaisingExecutor:
+            def run(self, fingerprint, spec_json, attempt,
+                    observe_run_id=None):
+                raise ExecutionFailure("error", "ValueError: bad spec")
+
+            def close(self):
+                pass
+
+        service = ScenarioService(ServiceConfig(),
+                                  executor=RaisingExecutor())
+        outcome = service.submit(spec.to_json(), tenant="acme")
+        service.pump_once()
+        self._assert_failed_once_and_breaker_closed(service,
+                                                    outcome.job_id)
 
     def test_deadline_expires_stale_jobs(self):
         service = inline_service(queue_deadline=2.0)

@@ -110,6 +110,15 @@ class TestRunLifecycle:
         assert excinfo.value.status == 400
         assert "must be a JSON object" in excinfo.value.body["error"]
 
+    def test_non_object_section_is_400(self, client):
+        data = service_spec().to_dict()
+        data["scheduler"] = []
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(json.dumps(data))
+        assert excinfo.value.status == 400
+        assert ("scheduler must be a JSON object"
+                in excinfo.value.body["error"])
+
     def test_non_numeric_max_time_is_400_not_a_breaker_trip(self, server,
                                                             client):
         """A spec that fails every attempt must not reach the workers,
@@ -300,6 +309,25 @@ class TestTransport:
         time.sleep(0.5)
         assert client.health()["status"] == "ok"
         assert len(accepted) == 2
+
+    @pytest.mark.parametrize("error, reported", [
+        (ConnectionResetError(104, "Connection reset by peer"), False),
+        (RuntimeError("bridge broke"), True)])
+    def test_handler_errors_are_reported_unless_the_client_hung_up(
+            self, server, capfd, monkeypatch, error, reported):
+        def broken():
+            raise error
+
+        monkeypatch.setattr(server.service, "health", broken)
+        capfd.readouterr()
+        # The handler reports the error before it closes the
+        # connection, so the report is written once the client fails.
+        with ServiceClient(server.address) as client:
+            with pytest.raises(OSError):
+                client.health()
+        err = capfd.readouterr().err
+        assert ("Exception occurred during processing" in err) is reported
+        assert (f"{type(error).__name__}: " in err) is reported
 
     def test_stopped_server_stops_answering(self):
         server = ServiceHTTPServer(ScenarioService(
