@@ -234,7 +234,7 @@ def _load_spec(path: str):
     except json.JSONDecodeError as exc:
         raise SpecLoadError(
             f"spec file {path!r} is not valid JSON: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise SpecLoadError(
             f"spec file {path!r} is not a valid scenario spec: "
             f"{type(exc).__name__}: {exc} (see docs/SCENARIOS.md)"

@@ -18,6 +18,9 @@ package is that artifact and its engine:
   harness, CLI) assembles runs through;
 - :class:`~repro.scenario.result.ScenarioResult` — the run's outcome
   as deterministic plain data with a canonical digest;
+- :mod:`~repro.scenario.codec` — the one field-driven JSON codec every
+  scenario document inherits; bad input raises
+  :class:`~repro.scenario.codec.SpecError` naming the field;
 - :func:`~repro.scenario.sweep.sweep` /
   :class:`~repro.scenario.sweep.SweepRunner` — process-parallel
   parameter sweeps with an order-independent merge and a byte-stable
@@ -28,6 +31,7 @@ rehydrated from JSON produces the identical result digest.  See
 ``docs/SCENARIOS.md`` for the spec schema and sweep semantics.
 """
 
+from .codec import SpecError
 from .result import ScenarioResult, compile_result
 from .runtime import ScenarioRuntime, build_runtime, compose
 from .spec import (
@@ -59,6 +63,7 @@ from .sweep import SweepPoint, SweepReport, SweepRunner, sweep
 
 __all__ = [
     "ScenarioSpec",
+    "SpecError",
     "ClusterSpec",
     "TopologySpec",
     "WorkloadSpec",

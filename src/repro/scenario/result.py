@@ -16,16 +16,17 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from ..observability.export import dumps_deterministic
 from ..workload.task import TaskState
+from .codec import OMIT_DEFAULT, Codec
 
 __all__ = ["ScenarioResult", "compile_result"]
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(Codec, schema="scenario-result/v1"):
     """Outcome of one scenario run, as deterministic plain data.
 
     Attributes:
@@ -68,52 +69,8 @@ class ScenarioResult:
     slo_report: dict[str, dict[str, float]] | None = None
     alerts: list[dict] | None = None
     profile: dict[str, Any] | None = None
-    shards: dict[str, Any] | None = None
-
-    def to_dict(self) -> dict:
-        """The result as JSON-ready plain data."""
-        data = {
-            "schema": "scenario-result/v1",
-            "name": self.name,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "sim_time": self.sim_time,
-            "events_processed": self.events_processed,
-            "makespan": self.makespan,
-            "tasks_total": self.tasks_total,
-            "tasks_finished": self.tasks_finished,
-            "statistics": self.statistics,
-            "datacenter": dict(self.datacenter),
-            "chaos": self.chaos,
-            "slo_report": self.slo_report,
-            "alerts": self.alerts,
-            "profile": self.profile,
-        }
-        # Omit-if-None keeps every pre-existing result digest intact.
-        if self.shards is not None:
-            data["shards"] = self.shards
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        """Rehydrate a result from :meth:`to_dict` output."""
-        schema = data.get("schema", "scenario-result/v1")
-        if schema != "scenario-result/v1":
-            raise ValueError(f"unsupported result schema {schema!r}")
-        return cls(name=data["name"], seed=data["seed"],
-                   fingerprint=data["fingerprint"],
-                   sim_time=data["sim_time"],
-                   events_processed=data["events_processed"],
-                   makespan=data["makespan"],
-                   tasks_total=data["tasks_total"],
-                   tasks_finished=data["tasks_finished"],
-                   statistics=data.get("statistics"),
-                   datacenter=data.get("datacenter", {}),
-                   chaos=data.get("chaos"),
-                   slo_report=data.get("slo_report"),
-                   alerts=data.get("alerts"),
-                   profile=data.get("profile"),
-                   shards=data.get("shards"))
+    shards: dict[str, Any] | None = field(default=None,
+                                          metadata=OMIT_DEFAULT)
 
     def to_json(self) -> str:
         """Canonical JSON form (sorted keys, no whitespace, no NaN)."""

@@ -25,9 +25,10 @@ serializable, and the spec API makes that boundary explicit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..autoscaling.autoscalers import AUTOSCALERS
@@ -61,6 +62,7 @@ from ..workload.trace import (
     rescale_records,
 )
 from ..workload.wfformat import wfformat_workflow
+from .codec import OMIT_DEFAULT, Codec
 
 __all__ = [
     "ClusterSpec",
@@ -88,14 +90,6 @@ __all__ = [
 ]
 
 
-def _object(value: Any, what: str) -> Mapping[str, Any]:
-    """``value`` if it is a JSON object, else a ``ValueError`` naming ``what``."""
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be a JSON object, "
-                         f"not {type(value).__name__}")
-    return value
-
-
 def _range(value: Any) -> tuple[float, float] | None:
     """Interpret ``value`` as a (lo, hi) pair, or None for a fixed scalar."""
     if isinstance(value, (list, tuple)):
@@ -113,7 +107,7 @@ _DEFAULT_LINK_BANDWIDTH = 1.25e9
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(Codec):
     """One homogeneous cluster: ``machines`` identical machines."""
 
     name: str
@@ -122,7 +116,8 @@ class ClusterSpec:
     memory: float = 32.0
     machines_per_rack: int = 16
     speed: float = 1.0
-    link_bandwidth: float = _DEFAULT_LINK_BANDWIDTH
+    link_bandwidth: float = field(default=_DEFAULT_LINK_BANDWIDTH,
+                                  metadata=OMIT_DEFAULT)
 
     def build(self) -> Cluster:
         """Materialize the cluster."""
@@ -133,26 +128,9 @@ class ClusterSpec:
                         link_bandwidth=self.link_bandwidth),
             machines_per_rack=self.machines_per_rack)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        data = {"name": self.name, "machines": self.machines,
-                "cores": self.cores, "memory": self.memory,
-                "machines_per_rack": self.machines_per_rack,
-                "speed": self.speed}
-        # Omit-if-default keeps every pre-existing spec fingerprint
-        # (a hash of this dict) byte-identical.
-        if self.link_bandwidth != _DEFAULT_LINK_BANDWIDTH:
-            data["link_bandwidth"] = self.link_bandwidth
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClusterSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Codec):
     """The physical substrate: clusters under one datacenter."""
 
     clusters: tuple[ClusterSpec, ...]
@@ -167,19 +145,6 @@ class TopologySpec:
     def build(self) -> list[Cluster]:
         """Materialize every cluster, in declaration order."""
         return [cluster.build() for cluster in self.clusters]
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"clusters": [c.to_dict() for c in self.clusters],
-                "datacenter": self.datacenter, "operator": self.operator}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(clusters=tuple(ClusterSpec.from_dict(c)
-                                  for c in data["clusters"]),
-                   datacenter=data.get("datacenter", "dc"),
-                   operator=data.get("operator", "operator"))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +351,7 @@ WORKLOAD_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Codec):
     """One declared workload: a registered ``kind`` plus parameters."""
 
     kind: str
@@ -404,22 +369,12 @@ class WorkloadSpec:
         return list(WORKLOAD_KINDS[self.kind](streams, datacenter,
                                               self.params))
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"],
-                   params=_object(data.get("params", {}), "workload.params"))
-
 
 # ---------------------------------------------------------------------------
 # Scheduler / autoscaler
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class SchedulerSpec:
+class SchedulerSpec(Codec):
     """Queue + placement policy selection for the cluster scheduler.
 
     ``portfolio`` names extra queue policies raced by a
@@ -444,29 +399,13 @@ class SchedulerSpec:
         for name in self.portfolio:
             if name not in QUEUE_POLICIES:
                 raise ValueError(f"unknown portfolio policy {name!r}")
+        if not self.portfolio_interval > 0:
+            raise ValueError("portfolio_interval must be positive")
         object.__setattr__(self, "portfolio", tuple(self.portfolio))
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"queue": self.queue, "placement": self.placement,
-                "backfilling": self.backfilling,
-                "strict_head": self.strict_head,
-                "portfolio": list(self.portfolio),
-                "portfolio_interval": self.portfolio_interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SchedulerSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(queue=data.get("queue", "fcfs"),
-                   placement=data.get("placement", "first-fit"),
-                   backfilling=data.get("backfilling", False),
-                   strict_head=data.get("strict_head", False),
-                   portfolio=tuple(data.get("portfolio", ())),
-                   portfolio_interval=data.get("portfolio_interval", 50.0))
 
 
 @dataclass(frozen=True)
-class AutoscalerSpec:
+class AutoscalerSpec(Codec):
     """An elastic-provisioning policy from the autoscaler registry."""
 
     policy: str = "react"
@@ -476,22 +415,12 @@ class AutoscalerSpec:
         if self.policy not in AUTOSCALERS:
             raise ValueError(f"unknown autoscaler {self.policy!r}; "
                              f"registered: {sorted(AUTOSCALERS)}")
-        if self.interval <= 0:
+        if not self.interval > 0:
             raise ValueError("autoscaler interval must be positive")
 
     def build(self) -> Any:
         """Instantiate the autoscaler policy object."""
         return AUTOSCALERS[self.policy]()
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"policy": self.policy, "interval": self.interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AutoscalerSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(policy=data.get("policy", "react"),
-                   interval=data.get("interval", 10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +466,7 @@ FAILURE_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Codec):
     """One declared failure schedule: a registered ``kind`` + params."""
 
     kind: str
@@ -555,21 +484,12 @@ class FailureSpec:
         return list(FAILURE_KINDS[self.kind](streams, racks, horizon,
                                              self.params))
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 # ---------------------------------------------------------------------------
 # Resilience mechanisms
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class RetrySpec:
+class RetrySpec(Codec):
     """Exponential-backoff retry policy parameters."""
 
     max_attempts: int = 6
@@ -585,20 +505,9 @@ class RetrySpec:
                                   multiplier=self.multiplier,
                                   jitter=self.jitter)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"max_attempts": self.max_attempts, "base": self.base,
-                "cap": self.cap, "multiplier": self.multiplier,
-                "jitter": self.jitter}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RetrySpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class CheckpointSpec:
+class CheckpointSpec(Codec):
     """Checkpoint/restart policy parameters."""
 
     interval: float
@@ -611,19 +520,9 @@ class CheckpointSpec:
                                 overhead=self.overhead,
                                 min_runtime=self.min_runtime)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"interval": self.interval, "overhead": self.overhead,
-                "min_runtime": self.min_runtime}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CheckpointSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class HedgeSpec:
+class HedgeSpec(Codec):
     """Speculative (hedged) execution policy parameters."""
 
     delay_factor: float = 2.0
@@ -638,21 +537,9 @@ class HedgeSpec:
                            max_hedges=self.max_hedges,
                            min_runtime=self.min_runtime)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"delay_factor": self.delay_factor,
-                "min_delay": self.min_delay,
-                "max_hedges": self.max_hedges,
-                "min_runtime": self.min_runtime}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HedgeSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class SheddingSpec:
+class SheddingSpec(Codec):
     """Load-shedding admission-control parameters."""
 
     threshold: float = 0.85
@@ -663,15 +550,6 @@ class SheddingSpec:
         return lambda datacenter: LoadSheddingAdmission(
             datacenter, threshold=self.threshold,
             shed_below=self.shed_below)
-
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"threshold": self.threshold, "shed_below": self.shed_below}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SheddingSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +593,7 @@ OBJECTIVE_KINDS: dict[str, Callable] = {
 
 
 @dataclass(frozen=True)
-class ObjectiveSpec:
+class ObjectiveSpec(Codec):
     """One declared service objective: a registered ``kind`` + params."""
 
     kind: str
@@ -731,18 +609,9 @@ class ObjectiveSpec:
         """Instantiate the objective."""
         return OBJECTIVE_KINDS[self.kind](self.params)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ObjectiveSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 @dataclass(frozen=True)
-class BurnRuleSpec:
+class BurnRuleSpec(Codec):
     """One multi-window burn-rate alerting rule."""
 
     name: str
@@ -756,20 +625,9 @@ class BurnRuleSpec:
                             short_window=self.short_window,
                             threshold=self.threshold)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"name": self.name, "long_window": self.long_window,
-                "short_window": self.short_window,
-                "threshold": self.threshold}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BurnRuleSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(**dict(data))
-
 
 @dataclass(frozen=True)
-class SLOSpec:
+class SLOSpec(Codec):
     """Declared objectives, burn rules, and the telemetry cadence.
 
     ``rules=None`` keeps the engine's default SRE fast/slow pair;
@@ -783,7 +641,7 @@ class SLOSpec:
     def __post_init__(self) -> None:
         if not self.objectives:
             raise ValueError("an SLO spec needs at least one objective")
-        if self.telemetry_interval <= 0:
+        if not self.telemetry_interval > 0:
             raise ValueError("telemetry_interval must be positive")
         object.__setattr__(self, "objectives", tuple(self.objectives))
         if self.rules is not None:
@@ -799,30 +657,12 @@ class SLOSpec:
             return None
         return tuple(r.build() for r in self.rules)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"objectives": [o.to_dict() for o in self.objectives],
-                "rules": (None if self.rules is None
-                          else [r.to_dict() for r in self.rules]),
-                "telemetry_interval": self.telemetry_interval}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SLOSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        rules = data.get("rules")
-        return cls(
-            objectives=tuple(ObjectiveSpec.from_dict(o)
-                             for o in data["objectives"]),
-            rules=(None if rules is None
-                   else tuple(BurnRuleSpec.from_dict(r) for r in rules)),
-            telemetry_interval=data.get("telemetry_interval", 5.0))
-
 
 # ---------------------------------------------------------------------------
 # Sharding (per-region event loops, conservatively coupled)
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class ShardLinkSpec:
+class ShardLinkSpec(Codec):
     """One declared wide-area link between two shards (symmetric).
 
     The latency is the one-way message delay between the two regions,
@@ -840,7 +680,7 @@ class ShardLinkSpec:
         if self.src == self.dst:
             raise ShardConfigError(
                 f"shard link endpoints must differ, got {self.src!r} twice")
-        if self.latency <= 0:
+        if not self.latency > 0:
             raise ShardConfigError(
                 f"link {self.src!r}->{self.dst!r} has non-positive latency "
                 f"{self.latency}; zero-latency cross-shard links make the "
@@ -850,19 +690,9 @@ class ShardLinkSpec:
         """The link as a typed wide-area channel descriptor."""
         return WideAreaLink(src=self.src, dst=self.dst, latency=self.latency)
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"src": self.src, "dst": self.dst, "latency": self.latency}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardLinkSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(src=data["src"], dst=data["dst"],
-                   latency=data["latency"])
-
 
 @dataclass(frozen=True)
-class ShardOffloadSpec:
+class ShardOffloadSpec(Codec):
     """Dynamic delegation from one shard to a linked peer.
 
     When the shard's instantaneous utilization reaches ``threshold`` at
@@ -881,19 +711,9 @@ class ShardOffloadSpec:
             raise ShardConfigError(
                 f"offload threshold must be in [0, 1], got {self.threshold}")
 
-    def to_dict(self) -> dict:
-        """Plain-data form."""
-        return {"target": self.target, "threshold": self.threshold}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardOffloadSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(target=data["target"],
-                   threshold=data.get("threshold", 0.85))
-
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(Codec):
     """One shard: a named region owning a subset of the clusters.
 
     Each shard runs its own simulator, scheduler, and datacenter (named
@@ -904,8 +724,10 @@ class ShardSpec:
 
     name: str
     clusters: tuple[str, ...]
-    workload: WorkloadSpec | None = None
-    offload: ShardOffloadSpec | None = None
+    workload: WorkloadSpec | None = field(default=None,
+                                          metadata=OMIT_DEFAULT)
+    offload: ShardOffloadSpec | None = field(default=None,
+                                             metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -916,30 +738,9 @@ class ShardSpec:
                 f"at least one")
         object.__setattr__(self, "clusters", tuple(self.clusters))
 
-    def to_dict(self) -> dict:
-        """Plain-data form (optional sections omitted when absent)."""
-        data: dict[str, Any] = {"name": self.name,
-                                "clusters": list(self.clusters)}
-        if self.workload is not None:
-            data["workload"] = self.workload.to_dict()
-        if self.offload is not None:
-            data["offload"] = self.offload.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        workload = data.get("workload")
-        offload = data.get("offload")
-        return cls(name=data["name"], clusters=tuple(data["clusters"]),
-                   workload=(None if workload is None
-                             else WorkloadSpec.from_dict(workload)),
-                   offload=(None if offload is None
-                            else ShardOffloadSpec.from_dict(offload)))
-
 
 @dataclass(frozen=True)
-class ShardPlanSpec:
+class ShardPlanSpec(Codec):
     """The partition of a scenario into conservatively coupled shards.
 
     ``shards`` must partition the topology's clusters exactly — every
@@ -953,7 +754,7 @@ class ShardPlanSpec:
 
     shards: tuple[ShardSpec, ...]
     links: tuple[ShardLinkSpec, ...] = ()
-    epoch: float | None = None
+    epoch: float | None = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -987,7 +788,7 @@ class ShardPlanSpec:
                     f"duplicate link between {pair[0]!r} and {pair[1]!r}")
             pairs.add(pair)
         if self.epoch is not None:
-            if self.epoch <= 0:
+            if not self.epoch > 0:
                 raise ShardConfigError(
                     f"epoch must be positive, got {self.epoch}")
             limit = min_lookahead([link.build() for link in self.links])
@@ -1052,42 +853,12 @@ class ShardPlanSpec:
                 return link.latency
         raise ShardConfigError(f"no link declared between {a!r} and {b!r}")
 
-    def to_dict(self) -> dict:
-        """Plain-data form (``epoch`` omitted when defaulted)."""
-        data: dict[str, Any] = {
-            "shards": [shard.to_dict() for shard in self.shards],
-            "links": [link.to_dict() for link in self.links],
-        }
-        if self.epoch is not None:
-            data["epoch"] = self.epoch
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardPlanSpec":
-        """Rehydrate from :meth:`to_dict` output."""
-        return cls(
-            shards=tuple(ShardSpec.from_dict(s) for s in data["shards"]),
-            links=tuple(ShardLinkSpec.from_dict(l)
-                        for l in data.get("links", ())),
-            epoch=data.get("epoch"))
-
 
 # ---------------------------------------------------------------------------
 # The scenario spec
 # ---------------------------------------------------------------------------
-_OPTIONAL_SECTIONS: dict[str, type] = {
-    "autoscaler": AutoscalerSpec,
-    "failures": FailureSpec,
-    "retries": RetrySpec,
-    "checkpoints": CheckpointSpec,
-    "hedging": HedgeSpec,
-    "shedding": SheddingSpec,
-    "slos": SLOSpec,
-}
-
-
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Codec, schema="scenario-spec/v1"):
     """Everything one reproducible simulation run needs, as plain data.
 
     The single composition artifact behind benchmarks, examples, chaos
@@ -1143,7 +914,8 @@ class ScenarioSpec:
     max_time: float = 10_000_000.0
     availability_slo: float = 0.0
     injection_jitter: float = 0.0
-    shards: ShardPlanSpec | None = None
+    shards: ShardPlanSpec | None = field(default=None,
+                                         metadata=OMIT_DEFAULT)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -1193,68 +965,8 @@ class ScenarioSpec:
                                 parameters=self.to_dict())
 
     # ------------------------------------------------------------------
-    # Serialization
+    # Serialization (``to_dict``/``from_dict`` come from ``Codec``)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """The spec as JSON-ready plain data."""
-        data: dict[str, Any] = {
-            "schema": "scenario-spec/v1",
-            "name": self.name,
-            "seed": self.seed,
-            "topology": self.topology.to_dict(),
-            "workload": self.workload.to_dict(),
-            "scheduler": self.scheduler.to_dict(),
-            "observer": self.observer,
-            "duration": self.duration,
-            "horizon": self.horizon,
-            "max_time": self.max_time,
-            "availability_slo": self.availability_slo,
-            "injection_jitter": self.injection_jitter,
-        }
-        for key in _OPTIONAL_SECTIONS:
-            section = getattr(self, key)
-            data[key] = None if section is None else section.to_dict()
-        # Omit-if-None (unlike the always-emitted sections above) keeps
-        # every pre-existing spec fingerprint byte-identical.
-        if self.shards is not None:
-            data["shards"] = self.shards.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rehydrate a spec from :meth:`to_dict` output.
-
-        Raises ``ValueError`` when ``data``, a section present in it or
-        ``workload.params`` is not a mapping (a JSON object); ``null``
-        leaves an optional section absent.
-        """
-        _object(data, "a scenario spec")
-        schema = data.get("schema", "scenario-spec/v1")
-        if schema != "scenario-spec/v1":
-            raise ValueError(f"unsupported scenario schema {schema!r}")
-        kwargs: dict[str, Any] = {
-            "name": data["name"],
-            "seed": data.get("seed", 0),
-            "topology": TopologySpec.from_dict(
-                _object(data["topology"], "topology")),
-            "workload": WorkloadSpec.from_dict(
-                _object(data["workload"], "workload")),
-            "scheduler": SchedulerSpec.from_dict(
-                _object(data.get("scheduler", {}), "scheduler")),
-            "observer": data.get("observer", False),
-            "duration": data.get("duration"),
-            "horizon": data.get("horizon", 1000.0),
-            "max_time": data.get("max_time", 10_000_000.0),
-            "availability_slo": data.get("availability_slo", 0.0),
-            "injection_jitter": data.get("injection_jitter", 0.0),
-        }
-        for key, section_cls in {**_OPTIONAL_SECTIONS,
-                                 "shards": ShardPlanSpec}.items():
-            section = data.get(key)
-            kwargs[key] = (None if section is None
-                           else section_cls.from_dict(_object(section, key)))
-        return cls(**kwargs)
-
     def to_json(self, indent: int | None = None) -> str:
         """The spec as a deterministic JSON string."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
@@ -1274,7 +986,10 @@ class ScenarioSpec:
         ``"scheduler.queue"``, ``"workload.params.n_tasks"`` ...).  The
         special key ``"scale"`` multiplies every cluster's machine
         count by its value (minimum one machine) — the capacity axis of
-        a sweep.
+        a sweep.  The result is decoded like any document, so a key
+        that names no field raises
+        :class:`~repro.scenario.codec.SpecError` instead of being
+        ignored.
         """
         data = self.to_dict()
         for path, value in updates.items():
@@ -1332,29 +1047,15 @@ class ScenarioSpec:
             raise ShardConfigError(
                 f"scenario {self.name!r} declares no shards")
         owned = set(shard.clusters)
-        clusters = tuple(c for c in self.topology.clusters
-                         if c.name in owned)
-        topology = TopologySpec(clusters=clusters, datacenter=shard.name,
-                                operator=self.topology.operator)
-        return ScenarioSpec(
-            name=f"{self.name}/{shard.name}",
-            topology=topology,
+        topology = dataclasses.replace(
+            self.topology, datacenter=shard.name,
+            clusters=tuple(c for c in self.topology.clusters
+                           if c.name in owned))
+        return dataclasses.replace(
+            self, name=f"{self.name}/{shard.name}", topology=topology,
             workload=shard.workload or self.workload,
             seed=substream_seed(self.seed, f"shard:{shard.name}"),
-            scheduler=self.scheduler,
-            autoscaler=self.autoscaler,
-            failures=self.failures,
-            retries=self.retries,
-            checkpoints=self.checkpoints,
-            hedging=self.hedging,
-            shedding=self.shedding,
-            slos=self.slos,
-            observer=self.observer,
-            duration=self.duration,
-            horizon=self.horizon,
-            max_time=self.max_time,
-            availability_slo=self.availability_slo,
-            injection_jitter=self.injection_jitter)
+            shards=None)
 
     # ------------------------------------------------------------------
     # Execution
@@ -1405,8 +1106,3 @@ def scenario_experiment(seed: int,
     if seed != spec.seed:
         spec = spec.with_seed(seed)
     return spec.run().summary()
-
-
-def _spec_field_names() -> list[str]:
-    """The declared field names of :class:`ScenarioSpec` (for tooling)."""
-    return [f.name for f in fields(ScenarioSpec)]

@@ -9,6 +9,8 @@ import pytest
 
 from repro.__main__ import ARTIFACTS, main
 
+from ..scenario.bad_specs import BAD_SPECS, IDS, bad_spec
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SPEC_PATH = REPO_ROOT / "examples" / "specs" / "chaos_baseline.json"
 SLO_SPEC_PATH = REPO_ROOT / "examples" / "specs" / "chaos_slo.json"
@@ -202,6 +204,19 @@ def test_run_spec_with_infinite_max_time_is_friendly(tmp_path):
     assert code == 2
     assert "max_time must be finite and positive" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", BAD_SPECS, ids=IDS)
+def test_run_spec_with_bad_field_is_friendly(tmp_path, case):
+    # A bad field is refused before anything runs: no run, no traceback.
+    _, name, updates, _, message = case
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bad_spec(name, updates)), encoding="utf-8")
+    code, out, err = run_cli("run", str(bad))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("args, message", [

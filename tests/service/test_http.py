@@ -18,6 +18,7 @@ from repro.service import (InlineExecutor, ScenarioService, ServiceClient,
                            ServiceConfig, ServiceError, ServiceHTTPServer)
 from repro.service import http as service_http
 
+from ..scenario.bad_specs import BAD_SPECS, IDS, bad_spec
 from .conftest import service_spec
 
 
@@ -134,6 +135,16 @@ class TestRunLifecycle:
             outcome = other.submit(service_spec().to_json())
             assert outcome["status"] == 202
             other.wait(outcome["job_id"], timeout=60)
+
+    @pytest.mark.parametrize("case", BAD_SPECS, ids=IDS)
+    def test_bad_spec_field_is_400(self, client, case):
+        # A bad field is a 400 at submit: never an admitted job, never
+        # a connection dropped without an answer.
+        _, name, updates, _, message = case
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(json.dumps(bad_spec(name, updates)))
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.body["error"]
 
     def test_infinite_max_time_is_400(self, client):
         data = service_spec().to_dict()

@@ -6,7 +6,10 @@ committed document kinds, and each is fully exercised:
 
 - **ScenarioSpec** (``"schema": "scenario-spec/v1"``): parsed with
   :meth:`ScenarioSpec.from_dict`, fingerprinted, and composed into a
-  live runtime (topology, workload, policies all resolve).
+  live runtime (topology, workload, policies all resolve).  When the
+  spec's directory has a ``MANIFEST.json`` (as ``benchmarks/e2e/specs``
+  does) that lists the spec, its fingerprint must equal the listed one;
+  the manifest itself is only read, never validated as a document.
 - **WfFormat** (top-level ``"workflow"`` section): loaded with
   :func:`load_wfformat`, compiled with :func:`wfformat_workflow`,
   DAG-validated, and fingerprinted over its canonical JSON form.
@@ -15,6 +18,7 @@ Exit status is the number of invalid documents, so CI fails on any.
 
 Usage:
     PYTHONPATH=src python tools/validate_specs.py examples/specs
+    PYTHONPATH=src python tools/validate_specs.py benchmarks/e2e/specs
 """
 
 from __future__ import annotations
@@ -24,16 +28,33 @@ import json
 import sys
 from pathlib import Path
 
+#: The fingerprint list a spec directory may carry (name -> entry).
+MANIFEST = "MANIFEST.json"
+
+
+def listed_fingerprint(path: Path) -> str | None:
+    """The fingerprint ``path``'s directory manifest pins, if any."""
+    manifest = path.parent / MANIFEST
+    if not manifest.is_file():
+        return None
+    entry = json.loads(manifest.read_text()).get(path.name)
+    return None if entry is None else entry["fingerprint"]
+
 
 def validate_scenario_spec(path: Path, data: dict) -> str:
     """Parse, fingerprint, and compose one scenario spec."""
     from repro.scenario import ScenarioSpec
 
     spec = ScenarioSpec.from_dict(data)
+    fingerprint = spec.fingerprint()
+    listed = listed_fingerprint(path)
+    if listed is not None and fingerprint != listed:
+        raise ValueError(f"fingerprint {fingerprint} differs from "
+                         f"{listed} listed in {MANIFEST}")
     runtime = spec.build()
     runtime.finalize()
     return (f"scenario-spec  {path.name}: {len(runtime.tasks)} tasks, "
-            f"fingerprint {spec.fingerprint()}")
+            f"fingerprint {fingerprint}")
 
 
 def validate_wfformat(path: Path, data: dict) -> str:
@@ -65,7 +86,8 @@ def main(argv: list[str]) -> int:
     roots = [Path(a) for a in argv] or [Path("examples/specs")]
     paths = sorted(p for root in roots
                    for p in (root.rglob("*.json") if root.is_dir()
-                             else [root]))
+                             else [root])
+                   if p.name != MANIFEST)
     if not paths:
         print("no spec documents found", file=sys.stderr)
         return 1
