@@ -9,11 +9,12 @@ the per-configuration overhead is one ``fork()`` plus two small JSON
 strings over a pipe.
 
 Both paths execute the byte-identical science: the cold loop feeds
-each worker process the same ``(index, spec_json)`` payload the pool
-uses, and the record stores the merged report digest from each side —
-the checker (``tools/check_bench_trajectory.py``) refuses the record
-if they diverge, and the ``fingerprint`` on each digest entry pins
-which spec produced it.
+each worker process the same spec JSON, through the same entry point
+(``repro.scenario.workers.run_spec``), as the pool, and the record
+stores the merged report digest from each side — the checker
+(``tools/check_bench_trajectory.py``) refuses the record if they
+diverge, and the ``fingerprint`` on each digest entry pins which spec
+produced it.
 
 On a multi-core host the pool also overlaps the simulations
 themselves; on a single-core host (like CI containers) the speedup is
@@ -38,7 +39,6 @@ import time
 from pathlib import Path
 
 from repro.scenario import SweepReport, SweepRunner
-from repro.scenario.sweep import _run_spec_payload
 
 from .scenarios import sweep_spec
 
@@ -46,15 +46,14 @@ __all__ = ["main", "run_cold_sweep", "run_pool_sweep"]
 
 SCHEMA = "bench-sim-core/v1"
 
-#: The one cold worker pays per configuration: rehydrate the payload,
-#: run it, print the result — exactly ``_run_spec_payload`` behind a
-#: fresh interpreter.
+#: The one cold worker pays per configuration: rehydrate the spec,
+#: run it, print the result — exactly ``run_spec`` behind a fresh
+#: interpreter.
 _COLD_WORKER = """\
 import json, sys
-from repro.scenario.sweep import _run_spec_payload
+from repro.scenario.workers import run_spec
 index, spec_json = json.loads(sys.stdin.read())
-index, result_json = _run_spec_payload((index, spec_json))
-print(json.dumps([index, result_json]))
+print(json.dumps([index, run_spec(spec_json)]))
 """
 
 

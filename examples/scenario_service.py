@@ -14,7 +14,7 @@ service's own availability SLO stays green in its alert log.
 
 The same service runs over HTTP with::
 
-    python -m repro serve --port 8765 --workers 2
+    python -m repro serve --port 8765
 
 (see docs/SERVICE.md for the endpoints and semantics).
 

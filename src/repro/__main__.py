@@ -10,7 +10,7 @@ Usage::
     python -m repro run examples/specs/chaos_baseline.json
     python -m repro sweep examples/specs/chaos_baseline.json \\
         --seeds 1,2 --policies fcfs,sjf --workers 2
-    python -m repro serve --port 8765 --workers 2
+    python -m repro serve --port 8765
 
 ``observe`` (also ``--observe``) runs a small deterministic scenario —
 a fork-join workflow on a cluster that takes a correlated failure
@@ -502,7 +502,7 @@ def _serve(argv: list[str]) -> int:
     observe = "--observe" in options
     config = ServiceConfig(max_queue=options.get("--max-queue", 64),
                            tenant_quota=options.get("--tenant-quota", 16),
-                           workers=options.get("--workers", 2),
+                           workers=options.get("--workers", 1),
                            observe=observe)
     executor = InlineExecutor() if inline else None
     service = ScenarioService(config, executor=executor)

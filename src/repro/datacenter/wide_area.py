@@ -45,7 +45,7 @@ class WideAreaLink:
         if self.src == self.dst:
             raise ValueError(
                 f"link endpoints must differ, got {self.src!r} twice")
-        if self.latency <= 0:
+        if not self.latency > 0:
             raise ValueError(
                 f"link {self.src!r}->{self.dst!r} needs a positive "
                 f"latency, got {self.latency}; zero-latency links make "

@@ -16,9 +16,11 @@ Determinism is preserved end to end:
   encoder, carries no wall-clock data, and digests identically whether
   the sweep ran serially or on any number of workers.
 
-Worker failures are part of the contract, not an abort: a point whose
-run raises (or whose worker process dies) is retried deterministically
-on a fresh worker, and a point that still fails is surfaced in
+Worker failures are part of the contract, not an abort.  Points run
+through the worker seam (:mod:`repro.scenario.workers`) and follow its
+outcome table: a point whose worker dies or hangs is retried
+deterministically on a fresh worker, a point whose run raises is not
+(it would raise again), and a point that still fails is surfaced in
 :attr:`SweepReport.failed` with explicit gap accounting instead of
 blowing up the merge.  Because a spec run is a pure function of its
 JSON form, a retried point produces the byte-identical result a clean
@@ -33,11 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import (
-    BrokenProcessPool,
-    ProcessPoolExecutor,
-)
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -45,116 +42,17 @@ from ..observability.export import dumps_deterministic
 from ..observability.federation import TelemetryMerge
 from .result import ScenarioResult
 from .spec import ScenarioSpec
+from .workers import (
+    Attempt,
+    ExecutionFailure,
+    InlineExecutor,
+    PoolExecutor,
+    checked_timeout,
+    run_spec_observed,
+)
 
-__all__ = ["SweepPoint", "SweepReport", "SweepRunner", "WorkerCrash",
-           "run_spec_observed", "sweep"]
-
-
-class WorkerCrash(RuntimeError):
-    """An injected (or real) worker-tier failure for one sweep point.
-
-    Raised by the fault-injection hook to emulate a worker that died
-    mid-point; the runner treats it exactly like any other per-point
-    exception: deterministic retry, then gap accounting.
-    """
-
-
-def _run_spec_payload(payload: tuple[int, str]) -> tuple[int, str]:
-    """Worker entry point: rehydrate a spec from JSON, run, emit JSON.
-
-    Module-level so it pickles under every multiprocessing start
-    method.  Passing JSON both ways makes the parallel path exercise
-    the same serialization contract the round-trip tests pin.
-    """
-    index, spec_json = payload
-    result = ScenarioSpec.from_json(spec_json).run()
-    return index, result.to_json()
-
-
-def run_spec_observed(spec_json: str, run_id: str) -> tuple[str, str]:
-    """Run a spec with a worker-armed Observer; ship telemetry beside it.
-
-    Returns ``(result JSON, telemetry JSON)`` where the telemetry is
-    the run's deterministic
-    :class:`~repro.observability.federation.TelemetrySnapshot` under
-    the causal ``run_id``.  The capture is **invisible in the result**:
-    unless the spec itself declared ``observer``/``slos`` (in which
-    case the result carries its profile exactly as a plain
-    ``spec.run()`` would), the observer is dropped before the result
-    is compiled, so the result bytes are identical to an unobserved
-    run — observation federates telemetry, it never perturbs digests.
-
-    A sharded spec runs as a
-    :class:`~repro.sim.sharding.ShardedScenarioRuntime` with per-shard
-    capture; the shard fleet's merged metrics/profile/census are
-    re-wrapped as this point's single snapshot, so a sweep over sharded
-    scenarios federates exactly like any other sweep.
-    """
-    from ..observability.federation import TelemetrySnapshot
-    from ..observability.observer import Observer
-
-    spec = ScenarioSpec.from_json(spec_json)
-    if spec.shards is not None:
-        from ..sim.sharding import ShardedScenarioRuntime
-        sharded = ShardedScenarioRuntime(spec, capture=True)
-        result = sharded.execute()
-        fleet = sharded.telemetry
-        snapshot = TelemetrySnapshot(
-            run_id=run_id, fingerprint=spec.fingerprint(), seed=spec.seed,
-            metrics=fleet["metrics"], profile=fleet["profile"] or None,
-            spans={"total": fleet["spans"]["total"],
-                   "census": fleet["spans"]["census"]})
-        return result.to_json(), snapshot.to_json()
-    declared = spec.observer or spec.slos is not None
-    observer = Observer()
-    runtime = spec.build(observer=observer)
-    runtime.drive()
-    runtime.finalize()
-    if not declared:
-        runtime.observer = None
-    result = runtime.result()
-    observer.detach()
-    snapshot = TelemetrySnapshot.capture(observer, run_id=run_id,
-                                         fingerprint=spec.fingerprint(),
-                                         seed=spec.seed)
-    return result.to_json(), snapshot.to_json()
-
-
-def _run_spec_guarded(
-        payload: tuple[int, str, int, dict[int, int] | None, str | None],
-        ) -> tuple[int, bool, str, str | None]:
-    """Fault-tolerant worker entry point: never raises for a bad spec run.
-
-    Returns ``(index, ok, result-or-error, telemetry-or-None)``.  The
-    optional crash plan (``{index: failures_remaining}``)
-    deterministically fails the first ``n`` attempts of a point — the
-    chaos hook the injected-crash determinism tests and the service
-    drill both use.  A plan entry of ``-1`` hard-exits the process (a
-    *real* worker crash, exercising the broken-pool recovery path).
-    The final payload element is the causal run id when the point runs
-    under federated observation (``None`` runs unobserved).
-    """
-    index, spec_json, attempt, crash_plan, run_id = payload
-    try:
-        if crash_plan is not None:
-            budget = crash_plan.get(index, 0)
-            if budget == -1 and attempt == 0:
-                import os
-                os._exit(17)  # simulate a segfaulting worker
-            if attempt < budget:
-                raise WorkerCrash(
-                    f"injected worker crash (point {index}, "
-                    f"attempt {attempt})")
-        if run_id is not None:
-            result_json, telemetry_json = run_spec_observed(spec_json,
-                                                            run_id)
-            return index, True, result_json, telemetry_json
-        _, result_json = _run_spec_payload((index, spec_json))
-        return index, True, result_json, None
-    except SystemExit:  # pragma: no cover - re-raise hard exits
-        raise
-    except BaseException as exc:  # noqa: BLE001 - the gap record needs it
-        return index, False, f"{type(exc).__name__}: {exc}", None
+__all__ = ["SweepPoint", "SweepReport", "SweepRunner", "run_spec_observed",
+           "sweep"]
 
 
 @dataclass(frozen=True)
@@ -304,19 +202,23 @@ class SweepRunner:
         base: The spec every grid point derives from.
         workers: Process count; ``1`` runs serially in-process (but
             still through the JSON rehydration path, so serial and
-            parallel results are comparable byte for byte).
-        retries: Deterministic re-runs granted to a failed point
-            before it becomes a gap record (default 1 — the "retry
-            once on a fresh worker" contract).
-        point_timeout: Optional wall-clock seconds to wait for one
-            point before declaring its worker hung.  A timed-out point
-            is retried like a crashed one.  ``None`` (the default)
-            waits indefinitely; timeouts are an execution detail and
-            never enter the report bytes.
+            parallel results are comparable byte for byte).  More
+            runs on one warm pool per :meth:`run`, kept across retry
+            waves.
+        retries: Deterministic re-runs granted to a point whose worker
+            crashed or timed out before it becomes a gap record
+            (default 1 — the "retry once on a fresh worker" contract).
+            A point whose run raised is a gap record at once.
+        point_timeout: Optional wall-clock seconds the pool waits for
+            its next point to settle before declaring the unsettled
+            points' workers hung: they are killed and the points time
+            out.  ``None`` (the default) waits indefinitely; the
+            in-process path has no deadline.  Timeouts are an
+            execution detail and never enter the report bytes.
         crash_plan: Optional fault-injection plan
             (``{point index: n}``): the first ``n`` attempts of that
-            point raise :class:`WorkerCrash`; ``-1`` hard-kills the
-            worker process on the first attempt.  For chaos drills and
+            point crash — in process without running, on the pool by
+            killing the worker process.  For chaos drills and
             determinism tests — retried points digest identically to a
             clean run because spec runs are pure functions of their
             JSON.
@@ -339,12 +241,10 @@ class SweepRunner:
             raise ValueError("workers must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
-        if point_timeout is not None and point_timeout <= 0:
-            raise ValueError("point_timeout must be positive when given")
         self.base = base
         self.workers = workers
         self.retries = retries
-        self.point_timeout = point_timeout
+        self.point_timeout = checked_timeout(point_timeout)
         self.crash_plan = dict(crash_plan) if crash_plan else None
         self.observe = observe
 
@@ -397,11 +297,11 @@ class SweepRunner:
     def run(self, points: Sequence[SweepPoint]) -> SweepReport:
         """Execute every point; return the merged deterministic report.
 
-        Per-point failures never abort the sweep: a point whose run
-        raises — or whose worker process dies or hangs — is retried up
-        to ``retries`` times on a fresh worker, and a point that still
-        fails lands in :attr:`SweepReport.failed` with its error and
-        attempt count.
+        Per-point failures never abort the sweep: a point whose worker
+        process dies or hangs is retried up to ``retries`` times on a
+        fresh worker, a point whose run raises is not, and a point
+        that still fails lands in :attr:`SweepReport.failed` with its
+        ``"<kind>: <message>"`` error and attempt count.
         """
         if not points:
             raise ValueError("the sweep grid is empty")
@@ -411,30 +311,31 @@ class SweepRunner:
         outcomes: list[tuple[int, str]] = []
         telemetry: dict[int, str] = {}
         pending = [point.index for point in points]
-        while pending:
-            wave = [(index, spec_json[index], attempts[index],
-                     self.crash_plan,
-                     f"point-{index:05d}" if self.observe else None)
-                    for index in pending]
-            for index in pending:
-                attempts[index] += 1
-            if self.workers == 1:
-                settled = [_run_spec_guarded(payload) for payload in wave]
-            else:
-                settled = self._run_wave_parallel(wave)
-            retry: list[int] = []
-            for index, ok, payload, telemetry_json in settled:
-                if ok:
-                    outcomes.append((index, payload))
+        executor = (InlineExecutor(self.crash_plan) if self.workers == 1
+                    else PoolExecutor(self.workers, self.point_timeout,
+                                      self.crash_plan))
+        try:
+            while pending:
+                wave = [Attempt(index, spec_json[index], attempts[index],
+                                f"point-{index:05d}" if self.observe
+                                else None)
+                        for index in pending]
+                retry: list[int] = []
+                for index, outcome in zip(pending, executor.settle(wave)):
+                    attempts[index] += 1
+                    if isinstance(outcome, ExecutionFailure):
+                        errors[index] = str(outcome)
+                        if (outcome.kind != "error"
+                                and attempts[index] <= self.retries):
+                            retry.append(index)
+                        continue
                     errors.pop(index, None)
-                    if telemetry_json is not None:
-                        telemetry[index] = telemetry_json
-                else:
-                    errors[index] = payload
-                    if attempts[index] <= self.retries:
-                        retry.append(index)
-            retry.sort()
-            pending = retry
+                    if self.observe:
+                        outcome, telemetry[index] = outcome
+                    outcomes.append((index, outcome))
+                pending = retry
+        finally:
+            executor.close()
         failures = [{"index": point.index,
                      "label": point.label(),
                      "fingerprint": point.spec.fingerprint(),
@@ -450,61 +351,6 @@ class SweepRunner:
                 merge.add_json(telemetry[index])
             report.telemetry = merge.fleet()
         return report
-
-    def _run_wave_parallel(self, wave: list[tuple]) -> \
-            list[tuple[int, bool, str, str | None]]:
-        """One wave of points on a fresh process pool, crash-tolerant.
-
-        A worker that raises returns its error through the guarded
-        entry point; a worker that *dies* (hard exit, OOM kill) breaks
-        the whole pool, so the wave's unfinished points are marked
-        failed and the pool is rebuilt by the next wave.  A hung worker
-        is detected by ``point_timeout`` and treated the same way.
-        """
-        settled: list[tuple[int, bool, str, str | None]] = []
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            futures = {pool.submit(_run_spec_guarded, payload): payload[0]
-                       for payload in wave}
-            remaining = set(futures)
-            while remaining:
-                done, _ = wait(remaining, timeout=self.point_timeout,
-                               return_when=FIRST_COMPLETED)
-                if not done:  # hung worker: give up on the wave
-                    for future in remaining:
-                        future.cancel()
-                        settled.append((futures[future], False,
-                                        "TimeoutError: worker hung past "
-                                        "point_timeout", None))
-                    for process in pool._processes.values():
-                        process.terminate()
-                    remaining = set()
-                    break
-                broken = False
-                for future in done:
-                    remaining.discard(future)
-                    try:
-                        settled.append(future.result())
-                    except BrokenProcessPool:
-                        settled.append((futures[future], False,
-                                        "BrokenProcessPool: a worker "
-                                        "process died mid-point", None))
-                        broken = True
-                    except Exception as exc:  # noqa: BLE001
-                        settled.append((futures[future], False,
-                                        f"{type(exc).__name__}: {exc}",
-                                        None))
-                if broken:
-                    # The pool is unusable; fail the wave's leftovers so
-                    # they retry on the next (fresh) pool.
-                    for future in remaining:
-                        settled.append((futures[future], False,
-                                        "BrokenProcessPool: a worker "
-                                        "process died mid-point", None))
-                    remaining = set()
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-        return settled
 
     def sweep(self, seeds: Sequence[int] = (),
               policies: Sequence[str] = (),

@@ -33,13 +33,13 @@ Transports: :class:`~repro.service.http.ServiceHTTPServer` (stdlib
 directly.  See ``docs/SERVICE.md`` for endpoints and semantics.
 """
 
+from ..scenario.workers import ExecutionFailure, InlineExecutor, PoolExecutor
 from .admission import AdmissionDecision, ServiceAdmission
 from .cache import ResultCache
 from .chaos import DrillReport, ServiceChaosDrill
 from .clock import ServiceClock
 from .core import ScenarioService, ServiceConfig, SubmitOutcome
 from .events import ServiceEventLog
-from .executors import ExecutionFailure, InlineExecutor, PoolExecutor
 from .http import ServiceHTTPServer
 from .client import ServiceClient, ServiceError
 from .jobs import Job, JobState, JobTable

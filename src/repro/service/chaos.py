@@ -5,7 +5,7 @@ This is the PR's acceptance harness, as a library: a scripted incident
 timed to trip the circuit breaker, a submission against the open
 breaker — driven entirely on the deterministic
 :class:`~repro.service.clock.ServiceClock` with an
-:class:`~repro.service.executors.InlineExecutor` crash plan.  Because
+:class:`~repro.scenario.workers.InlineExecutor` crash plan.  Because
 every fault is injected *outside* the specs, the drill can assert the
 strongest possible recovery property: every admitted run's result
 digest is byte-identical to a clean serial execution of the same spec,
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..scenario.spec import ScenarioSpec
+from ..scenario.workers import InlineExecutor
 from .core import ScenarioService, ServiceConfig, SubmitOutcome
-from .executors import InlineExecutor
 from .jobs import JobState
 
 __all__ = ["DrillReport", "ServiceChaosDrill"]

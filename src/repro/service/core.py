@@ -59,11 +59,11 @@ from ..resilience.breakers import BreakerState, CircuitBreaker
 from ..resilience.policies import RetryBudget
 from ..scenario.spec import ScenarioSpec
 from ..scenario.sweep import SweepPoint, SweepReport, SweepRunner
+from ..scenario.workers import ExecutionFailure, PoolExecutor
 from .admission import ServiceAdmission
 from .cache import ResultCache
 from .clock import ServiceClock
 from .events import ServiceEventLog
-from .executors import ExecutionFailure, PoolExecutor
 from .jobs import Job, JobState, JobTable
 from .telemetry import TelemetryStore
 
@@ -99,9 +99,11 @@ class ServiceConfig:
         clock_step: Logical seconds one pump step advances the clock.
         retry_after: Back-off hint on shed/rejected responses.
         default_tenant: Tenant assumed when a request names none.
-        workers: Warm worker processes (pooled executor only).
+        workers: Warm worker processes (pooled executor only).  The
+            dispatcher runs one attempt at a time, so one is enough.
         worker_timeout: Wall-clock hang deadline per attempt (pooled
             executor only; never enters any deterministic artifact).
+            A positive, finite number of seconds or ``None``.
         observe: Federated observation: every executed job arms a
             worker-side Observer, its telemetry snapshot lands in the
             :class:`~repro.service.telemetry.TelemetryStore` under the
@@ -133,7 +135,7 @@ class ServiceConfig:
     clock_step: float = 1.0
     retry_after: float = 5.0
     default_tenant: str = "public"
-    workers: int = 2
+    workers: int = 1
     worker_timeout: float | None = 120.0
     observe: bool = False
     telemetry_capacity: int = 256
@@ -208,10 +210,10 @@ class ScenarioService:
     Args:
         config: Service tunables (defaults are drill-friendly).
         executor: The execution tier; defaults to a
-            :class:`~repro.service.executors.PoolExecutor` with
-            ``config.workers`` warm processes.  Tests and the chaos
-            drill pass an
-            :class:`~repro.service.executors.InlineExecutor` (with a
+            :class:`~repro.scenario.workers.PoolExecutor` with
+            ``config.workers`` warm processes, forked at the first
+            attempt.  Tests and the chaos drill pass an
+            :class:`~repro.scenario.workers.InlineExecutor` (with a
             crash plan) for full determinism.
 
     The core is **not** thread-safe; transports must serialize calls.
@@ -553,8 +555,7 @@ class ScenarioService:
                 # spec, so a retry would raise again; the pool
                 # answered, so the breaker counts a success.
                 self.breaker.record_success()
-                self._finish_failed(job, JobState.FAILED,
-                                    f"{exc.kind}: {exc}")
+                self._finish_failed(job, JobState.FAILED, str(exc))
             else:
                 self._count("worker_failures")
                 self.breaker.record_failure()
@@ -576,7 +577,7 @@ class ScenarioService:
     def _handle_attempt_failure(self, job: Job,
                                 exc: ExecutionFailure) -> None:
         """Retry a failed attempt if budget and attempt cap allow."""
-        error = f"{exc.kind}: {exc}"
+        error = str(exc)
         if job.attempts >= self.config.max_attempts:
             self._finish_failed(job, JobState.FAILED,
                                 f"{error} (attempts exhausted)")

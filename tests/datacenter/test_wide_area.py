@@ -8,6 +8,7 @@ from repro.datacenter import (
     QueryResult,
     SiteData,
     WideAreaAnalytics,
+    WideAreaLink,
     secure_sum,
 )
 
@@ -101,3 +102,10 @@ class TestSecureSum:
         total2, pub2 = secure_sum(values, rng=random.Random(2))
         assert total1 == pytest.approx(total2)
         assert pub1 != pub2
+
+
+class TestWideAreaLink:
+    @pytest.mark.parametrize("latency", [0.0, -1.0, float("nan")])
+    def test_latency_must_be_positive(self, latency):
+        with pytest.raises(ValueError, match="positive latency"):
+            WideAreaLink("a", "b", latency)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.scenario import (ScenarioResult, SweepReport, SweepRunner,
                             sweep)
-from repro.scenario.sweep import _run_spec_payload
+from repro.scenario.workers import run_spec
 
 
 def test_grid_order_and_labels(small_spec):
@@ -43,8 +43,7 @@ def test_serial_and_parallel_digests_identical(small_spec):
 def test_merge_is_order_independent(small_spec):
     runner = SweepRunner(small_spec)
     points = runner.grid(seeds=(1, 2))
-    outcomes = [_run_spec_payload((p.index, p.spec.to_json()))
-                for p in points]
+    outcomes = [(p.index, run_spec(p.spec.to_json())) for p in points]
     forward = SweepReport.assemble(small_spec, points, outcomes)
     backward = SweepReport.assemble(small_spec, points,
                                     list(reversed(outcomes)))
@@ -69,9 +68,8 @@ def test_rows_pair_labels_with_summaries(small_spec):
 
 
 def test_each_point_runs_through_json_rehydration(small_spec):
-    # The worker payload protocol is itself the round-trip contract.
-    index, result_json = _run_spec_payload((7, small_spec.to_json()))
-    assert index == 7
+    # The worker entry point is itself the round-trip contract.
+    result_json = run_spec(small_spec.to_json())
     assert ScenarioResult.from_json(result_json).digest() == \
         small_spec.run().digest()
 

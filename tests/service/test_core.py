@@ -7,9 +7,8 @@ import pytest
 
 from repro.resilience import BreakerState
 from repro.scenario import ScenarioSpec, SweepRunner
-from repro.service import (JobState, ScenarioService, ServiceClock,
-                           ServiceConfig)
-from repro.service.executors import ExecutionFailure
+from repro.service import (ExecutionFailure, JobState, ScenarioService,
+                           ServiceClock, ServiceConfig)
 
 from .conftest import inline_service, service_spec
 
