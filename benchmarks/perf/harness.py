@@ -12,6 +12,12 @@ therefore records three complementary kinds of evidence:
   (event-time traces, scheduler statistics, chaos reports, CSR
   arrays), which must match *exactly* across code changes that claim
   to preserve behavior.
+
+A digest record's ``sha`` covers all of its fields.  Its *science*
+sha (:func:`science_sha`) leaves out the :data:`KERNEL_FIELDS`, which
+count the events the kernel spent rather than what the model computed:
+a kernel change that posts fewer events for the same model moves
+``sha`` and keeps the science sha.
 """
 
 from __future__ import annotations
@@ -23,12 +29,18 @@ from array import array
 from typing import Any, Callable, Sequence
 
 __all__ = [
+    "KERNEL_FIELDS",
     "best_of",
     "calibration_unit",
     "canonical_json",
     "digest",
     "digest_floats",
+    "science_sha",
 ]
+
+#: Record fields that count kernel events: how many the run processed,
+#: and the length and SHA-256 of its event-time trace.
+KERNEL_FIELDS = ("events_processed", "event_trace_len", "event_trace_sha")
 
 
 def best_of(fn: Callable[[], Any], repeat: int = 3) -> tuple[float, Any]:
@@ -93,3 +105,14 @@ def digest(obj: Any) -> str:
 def digest_floats(values: Sequence[float]) -> str:
     """SHA-256 hex digest of a float sequence's exact binary image."""
     return hashlib.sha256(array("d", values).tobytes()).hexdigest()
+
+
+def science_sha(record: dict) -> str:
+    """SHA-256 of a digest record without ``sha`` and its kernel fields.
+
+    Recomputed from the fields the record stores, so it works on any
+    capture, including ones written before the split existed.  For a
+    record with no kernel fields it equals the record's ``sha``.
+    """
+    return digest({key: value for key, value in record.items()
+                   if key != "sha" and key not in KERNEL_FIELDS})

@@ -7,7 +7,11 @@ Each scenario exposes two entry points:
 - ``digest_*`` — execute the scenario under instrumentation and return
   a determinism digest: a JSON-able record of the *outcome* (event
   trace, statistics, report fields, array hashes) that must stay
-  bit-identical across behavior-preserving optimizations.
+  bit-identical across behavior-preserving optimizations.  The
+  scheduling and event-core records also carry the
+  :data:`~.harness.KERNEL_FIELDS`, which change when the kernel spends
+  a different number of events on the same model; their
+  :func:`~.harness.science_sha` leaves those out.
 
 All randomness derives from :class:`repro.sim.RandomStreams`
 substreams of an explicit seed, so every run of a scenario at a given
@@ -121,21 +125,28 @@ def run_scheduling(n_tasks: int, n_machines: int,
     }
 
 
+def _kernel_counts(sim: Simulator, trace: Sequence[float]) -> dict:
+    """The record's :data:`~.harness.KERNEL_FIELDS`."""
+    return {
+        "events_processed": sim.events_processed,
+        "event_trace_len": len(trace),
+        "event_trace_sha": digest_floats(trace),
+    }
+
+
 def _scheduling_outcome(sim: Simulator, datacenter: Datacenter,
                         scheduler: ClusterScheduler,
                         trace: Sequence[float]) -> dict:
-    return {
+    science = {
         "statistics": scheduler.statistics(),
         "makespan": scheduler.makespan(),
         "completed": len(scheduler.completed),
         "failed_executions": datacenter.failed_executions,
         "energy_joules": datacenter.total_energy_joules(),
         "mean_utilization": datacenter.mean_utilization(),
-        "events_processed": sim.events_processed,
         "sim_time": sim.now,
-        "event_trace_len": len(trace),
-        "event_trace_sha": digest_floats(trace),
     }
+    return {**science, **_kernel_counts(sim, trace)}
 
 
 def digest_scheduling(n_tasks: int, n_machines: int, seed: int = 0) -> dict:
@@ -143,6 +154,8 @@ def digest_scheduling(n_tasks: int, n_machines: int, seed: int = 0) -> dict:
 
     The event-time trace pins the simulator's exact event ordering:
     any change to when (or how many) events fire changes the digest.
+    The science fields (statistics, energy, utilization, clocks) do
+    not depend on how many events the kernel spends.
     """
     runtime: ScenarioRuntime = scheduling_spec(n_tasks, n_machines,
                                                seed).build()
@@ -192,12 +205,7 @@ def digest_event_core(event_count: int, seed: int = 0) -> dict:
     sim = _build_event_core(event_count, seed)
     trace: list[float] = []
     sim.advance_until(float("inf"), before_step=trace.append)
-    outcome = {
-        "events_processed": sim.events_processed,
-        "sim_time": sim.now,
-        "event_trace_len": len(trace),
-        "event_trace_sha": digest_floats(trace),
-    }
+    outcome = {"sim_time": sim.now, **_kernel_counts(sim, trace)}
     outcome["sha"] = digest(outcome)
     return outcome
 

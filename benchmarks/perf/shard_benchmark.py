@@ -24,7 +24,11 @@ The monolith and the sharded spec are *different specs* (one has a
 ``shards`` section) with different fingerprints — the record keeps
 both and ``tools/check_bench_trajectory.py`` validates them
 independently instead of demanding the cross-spec identity the
-``bench-sim-core/v1`` schema enforces.
+``bench-sim-core/v1`` schema enforces.  Each side records its result
+digest and its science digest
+(:meth:`~repro.scenario.ScenarioResult.science_digest`, the result
+without the kernel's event counts), so a re-capture after a kernel
+change shows whether only the event counts moved.
 
 Usage::
 
@@ -132,6 +136,7 @@ def _measure_monolith() -> dict:
         "fingerprint": spec.fingerprint(),
         "elapsed_s": elapsed,
         "digest": result.digest(),
+        "science": result.science_digest(),
         "tasks": result.tasks_total,
         "tasks_finished": result.tasks_finished,
         "events": result.events_processed,
@@ -154,6 +159,7 @@ def _measure_sharded() -> dict:
         "offloaded": coupling["offloaded"],
         "elapsed_s": elapsed,
         "digest": result.digest(),
+        "science": result.science_digest(),
     }
 
 

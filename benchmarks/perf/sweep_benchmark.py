@@ -10,11 +10,12 @@ strings over a pipe.
 
 Both paths execute the byte-identical science: the cold loop feeds
 each worker process the same spec JSON, through the same entry point
-(``repro.scenario.workers.run_spec``), as the pool, and the record
-stores the merged report digest from each side — the checker
-(``tools/check_bench_trajectory.py``) refuses the record if they
-diverge, and the ``fingerprint`` on each digest entry pins which spec
-produced it.
+(``repro.scenario.workers.run_spec``), as the pool.  The benchmark
+refuses to write a record whose two merged report digests differ; each
+digest entry stores that digest, its science digest
+(:meth:`~repro.scenario.SweepReport.science_digest`), which the checker
+(``tools/check_bench_trajectory.py``) compares across captures, and the
+``fingerprint`` of the spec that produced it.
 
 On a multi-core host the pool also overlaps the simulations
 themselves; on a single-core host (like CI containers) the speedup is
@@ -84,13 +85,16 @@ def run_cold_sweep(base, n_seeds: int) -> dict:
 
 
 def run_pool_sweep(base, n_seeds: int, workers: int) -> dict:
-    """Time the kernel's worker pool on the same grid."""
+    """Time the kernel's worker pool on the same grid.
+
+    Besides the metrics, ``science`` holds the report's science digest.
+    """
     runner = SweepRunner(base, workers=workers)
     started = time.perf_counter()
     report = runner.run(_grid(base, n_seeds))
     elapsed = time.perf_counter() - started
     return {"elapsed_s": elapsed, "runs": len(report.points),
-            "digest": report.digest()}
+            "digest": report.digest(), "science": report.science_digest()}
 
 
 def _capture(n_seeds: int, workers: int) -> dict:
@@ -101,7 +105,8 @@ def _capture(n_seeds: int, workers: int) -> dict:
     if cold["digest"] != pool["digest"]:
         raise SystemExit(f"FAIL: cold digest {cold['digest']} != pool "
                          f"digest {pool['digest']}")
-    digest = {"sha": pool["digest"], "fingerprint": base.fingerprint()}
+    digest = {"sha": pool["digest"], "science_sha": pool.pop("science"),
+              "fingerprint": base.fingerprint()}
     return {
         "before": {"schema": SCHEMA, "mode": "cold-process-per-config",
                    "metrics": {"sweep": cold},

@@ -114,9 +114,8 @@ class Datacenter:
         after an interruption; it can be yielded by a process, awaited
         with ``sim.run(until=...)``, and interrupted like a process.
 
-        An exception raised by the completion bookkeeping propagates
-        from ``Simulator.step()`` when the service timeout fires, not
-        one event later as from the generator process this replaced.
+        The execution posts one kernel event, its service
+        :class:`~repro.sim.Timeout`; see :class:`_Execution`.
         """
         machine.account_energy(self.sim.now)
         machine.allocate(task)
@@ -142,7 +141,13 @@ class Datacenter:
                 parent=observer.tracer.active(("task", task.task_id)),
                 attrs={"task": task.name, "machine": machine.name,
                        "cores": task.cores, "attempt": task.attempts})
-        execution = _Execution(self, task, machine, span, transfer)
+        service = machine.effective_runtime(task)
+        if transfer:
+            # Input stage-in extends the service interval; the guard
+            # keeps file-less executions on the exact historical float
+            # path (service + 0.0 is an op, skipping it is not).
+            service += transfer
+        execution = _Execution(self, task, machine, span, service)
         self._running[task] = execution
         return execution
 
@@ -274,41 +279,47 @@ class Datacenter:
 class _Execution(Event):
     """One task's run on one machine: an event that fires when it ends.
 
-    :meth:`Datacenter.execute` creates it.  It posts three events: a
-    start event at creation, the service :class:`~repro.sim.Timeout`
-    when the start event fires, and itself when the run ends, carrying
-    the task (``None`` when interrupted).  These are the events, times
-    and order of the generator process it replaced, and its callbacks
-    are bound methods of an object named ``exec-<task>``, so profiles
-    attribute them as before.
+    :meth:`Datacenter.execute` creates it, and it posts one kernel
+    event: the service :class:`~repro.sim.Timeout`.  When that fires,
+    :meth:`_finish` releases the machine and ends the execution with
+    the task; an interrupt event ends it with ``None`` instead
+    (:meth:`_abort`).  Either way the execution is marked triggered and
+    its callbacks run in place, inside that kernel event, so it never
+    sits on the event queue itself.  Its methods are bound to an
+    object named ``exec-<task>``, so profiles attribute them, and the
+    callbacks they run, to the datacenter.
 
+    It can be yielded by a process, awaited with
+    ``sim.run(until=...)`` and given callbacks like any event.
     :meth:`interrupt` and :attr:`is_alive` behave as on
     :class:`~repro.sim.Process`: interrupting an ended execution is an
     error, and two interrupts before delivery fail the task once.  An
     interrupted run's service timeout stays queued; it is delivered
     and does nothing.
 
-    One difference from the process: an exception raised by the
-    completion bookkeeping propagates from ``Simulator.step()`` at the
-    service timeout, where the process failed its own event and the
-    exception surfaced one event later.
+    Against the generator process it replaced, which also posted a
+    start event and its own end event, an execution spends two events
+    fewer, and its callbacks run one event earlier in the same-time
+    order.  An exception raised by a completion callback propagates
+    from the ``Simulator.step()`` of the timeout or the interrupt.
     """
 
     __slots__ = ("name", "_datacenter", "_task", "_machine", "_span",
-                 "_transfer", "_started", "_service", "_remaining")
+                 "_started", "_service", "_remaining")
 
     def __init__(self, datacenter: Datacenter, task: Task, machine: Machine,
-                 span: object, transfer: float) -> None:
-        super().__init__(datacenter.sim)
+                 span: object, service: float) -> None:
+        sim = datacenter.sim
+        super().__init__(sim)
         self.name = f"exec-{task.name}"
         self._datacenter = datacenter
         self._task = task
         self._machine = machine
         self._span = span
-        self._transfer = transfer
-        start = Event(datacenter.sim)
-        start.add_callback(self._begin)
-        start.succeed()
+        self._remaining = task.remaining_work
+        self._service = service
+        self._started = sim.now
+        Timeout(sim, service).add_callback(self._finish)
 
     @property
     def is_alive(self) -> bool:
@@ -327,18 +338,11 @@ class _Execution(Event):
         event.add_callback(self._abort)
         event.succeed(cause)
 
-    def _begin(self, _event: Event) -> None:
-        task = self._task
-        self._remaining = task.remaining_work
-        service = self._machine.effective_runtime(task)
-        if self._transfer:
-            # Input stage-in extends the service interval; the guard
-            # keeps file-less executions on the exact historical float
-            # path (service + 0.0 is an op, skipping it is not).
-            service += self._transfer
-        self._service = service
-        self._started = self.sim.now
-        Timeout(self.sim, service).add_callback(self._finish)
+    def _end(self, value: Task | None) -> None:
+        """Mark the execution triggered and run its callbacks now."""
+        self._ok = True
+        self._value = value
+        self._run_callbacks()
 
     def _finish(self, _timeout: Event) -> None:
         if self._ok is not None:
@@ -363,7 +367,7 @@ class _Execution(Event):
             if self._span is not None:
                 observer.tracer.end(self._span,
                                     attrs={"outcome": "finished"})
-        self.succeed(task)
+        self._end(task)
 
     def _abort(self, _event: Event) -> None:
         if self._ok is not None:
@@ -401,4 +405,4 @@ class _Execution(Event):
             if self._span is not None:
                 observer.tracer.end(self._span,
                                     attrs={"outcome": "interrupted"})
-        self.succeed(None)
+        self._end(None)

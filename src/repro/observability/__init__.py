@@ -30,6 +30,8 @@ See docs/OBSERVABILITY.md for the operator's handbook.
 from .export import (
     chrome_trace,
     dumps_deterministic,
+    science_digest,
+    science_view,
     write_chrome_trace,
     write_trace_json,
 )
@@ -88,6 +90,8 @@ __all__ = [
     "DEFAULT_RULES",
     "chrome_trace",
     "dumps_deterministic",
+    "science_digest",
+    "science_view",
     "write_chrome_trace",
     "write_trace_json",
     "StreamingPipeline",

@@ -10,6 +10,7 @@ directly into ``chrome://tracing`` / Perfetto.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import Any
 
@@ -17,6 +18,8 @@ from .tracing import Tracer
 
 __all__ = [
     "dumps_deterministic",
+    "science_view",
+    "science_digest",
     "chrome_trace",
     "write_chrome_trace",
     "write_trace_json",
@@ -32,6 +35,38 @@ def dumps_deterministic(obj: Any) -> str:
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+def science_view(data: Any) -> Any:
+    """``data`` without its kernel counts: what the model computed.
+
+    The kernel counts say how many events the simulator spent on a
+    run, not what the run computed, so a kernel that posts fewer events
+    for the same model changes them and nothing else.  They are, at any
+    depth of a result, sweep report or telemetry document:
+
+    - every ``events_processed`` key (a result's total, and each shard
+      result's under ``shards.by_shard``);
+    - the ``events`` column of every per-subsystem profile bucket (a
+      ``{"events", "sim_time"}`` object).
+
+    Everything else stays, including each bucket's ``sim_time``: a
+    callback that loses its profiler attribution moves it.
+    """
+    if isinstance(data, dict):
+        if data.keys() == {"events", "sim_time"}:
+            return {"sim_time": data["sim_time"]}
+        return {key: science_view(value) for key, value in data.items()
+                if key != "events_processed"}
+    if isinstance(data, list):
+        return [science_view(value) for value in data]
+    return data
+
+
+def science_digest(data: Any) -> str:
+    """SHA-256 over the canonical JSON of :func:`science_view`."""
+    return hashlib.sha256(dumps_deterministic(
+        science_view(data)).encode("utf-8")).hexdigest()
 
 
 def chrome_trace(tracer: Tracer, time_scale: float = 1e6) -> dict:

@@ -11,9 +11,10 @@ distinct answers:
   inherently non-deterministic).
 
 The :class:`SubsystemProfiler` collects both, attributed per event by
-classifying the name of the callback's owner (a process, or a task
-execution) against prefix rules ("exec-" is the datacenter, "faas-"
-the serverless platform, ...).  The simulator only pays for any of
+classifying the name of the callback's owner (a process, a task
+execution, or another named driver such as the ``arrivals`` process)
+against prefix rules ("exec-" is the datacenter, "faas-" the
+serverless platform, ...).  The simulator only pays for any of
 this while an :class:`~repro.observability.observer.Observer` with
 profiling enabled is attached: :meth:`repro.sim.Simulator.step` then
 attributes each event it delivers, so the profile is the same whoever

@@ -24,7 +24,10 @@ each class's fields and annotations.
 A class declares its schema tag as ``class X(Codec, schema="...")``: the
 tag is emitted as a top-level ``schema`` key and checked on decode when
 present.  Range and registry checks stay in each class's
-``__post_init__``, which guards the Python constructor too.
+``__post_init__``, which guards the Python constructor too.  A check
+there that names a value inside the document raises
+``SpecError(problem, path)``; decoding prefixes the document's own
+path, so the message names the whole dotted path.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import dataclasses
 import functools
 import types
 import typing
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Any, Callable, TypeVar
 
 __all__ = ["Codec", "OMIT_DEFAULT", "SpecError"]
@@ -46,32 +49,45 @@ OMIT_DEFAULT: Mapping[str, bool] = types.MappingProxyType(
     {"omit_default": True})
 
 
+def _render(path: Sequence[str | int], problem: str, subject: str) -> str:
+    where = ""
+    for part in path:
+        if isinstance(part, int):
+            where += f"[{part}]"
+        else:
+            where += f".{part}" if where else part
+    head = where or subject
+    return f"{head} {problem}" if head else problem
+
+
 class SpecError(ValueError):
-    """A scenario document that does not decode; names the bad field."""
+    """A scenario document that does not decode; names the bad field.
+
+    ``path`` holds the field's keys and list indexes, outermost first;
+    the message names the path, or ``subject`` when it is empty.
+    """
+
+    def __init__(self, problem: str, path: Sequence[str | int] = (),
+                 subject: str = "") -> None:
+        super().__init__(_render(path, problem, subject))
+        self.problem = problem
+        self.path = tuple(path)
 
 
 class _Bad(Exception):
     """A decode failure on its way out, collecting its path innermost
     first, so no path string is built unless decoding fails."""
 
-    def __init__(self, problem: str) -> None:
+    def __init__(self, problem: str,
+                 path: Sequence[str | int] = ()) -> None:
         super().__init__(problem)
         self.problem = problem
-        self.path: list[str | int] = []
+        self.path: list[str | int] = list(reversed(path))
 
     def at(self, part: str | int) -> "_Bad":
         """Record the enclosing key or list index; returns self."""
         self.path.append(part)
         return self
-
-    def render(self, subject: str) -> str:
-        where = ""
-        for part in reversed(self.path):
-            if isinstance(part, int):
-                where += f"[{part}]"
-            else:
-                where += f".{part}" if where else part
-        return f"{where or subject} {self.problem}"
 
 
 def _typed(accept: type | tuple[type, ...],
@@ -182,7 +198,10 @@ def _decode(cls: type, data: Any) -> Any:
     for name in plan.required:
         if name not in kwargs:
             raise _Bad("is required").at(name)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except SpecError as error:
+        raise _Bad(error.problem, error.path) from None
 
 
 class Codec:
@@ -220,4 +239,5 @@ class Codec:
         try:
             return _decode(cls, data)
         except _Bad as bad:
-            raise SpecError(bad.render(cls.__name__)) from None
+            raise SpecError(bad.problem, tuple(reversed(bad.path)),
+                            subject=cls.__name__) from None

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..observability.export import dumps_deterministic
+from ..observability.export import dumps_deterministic, science_digest
 from ..workload.task import TaskState
 from .codec import OMIT_DEFAULT, Codec
 
@@ -29,19 +29,35 @@ __all__ = ["ScenarioResult", "compile_result"]
 class ScenarioResult(Codec, schema="scenario-result/v1"):
     """Outcome of one scenario run, as deterministic plain data.
 
+    :meth:`digest` covers every field.  :meth:`science_digest` covers
+    every field but the kernel counts — ``events_processed`` (here and
+    in each shard result) and the ``events`` column of each
+    per-subsystem profile — so it pins what the model computed, not
+    how many events the kernel spent on it.
+
     Attributes:
         name: The scenario's name.
         seed: The root seed the run derived all randomness from.
         fingerprint: The spec's identity digest (empty for runs
             composed without a spec).
-        sim_time: Final simulated clock.
-        events_processed: Total events the simulator processed.
+        sim_time: Final simulated clock.  It can run past the last
+            task event: controller ticks and hedge watchers keep
+            posting events after the work ends, and a declared
+            ``duration`` runs the clock to its end.
+        events_processed: Total events the simulator processed (a
+            kernel count).
         makespan: Last task-finish time (``sim_time`` if none finished).
         tasks_total: Tasks in the workload (jobs counted by task).
         tasks_finished: Tasks that reached FINISHED.
-        statistics: Scheduler wait/slowdown/response summaries, or
-            ``None`` when nothing completed.
+        statistics: Scheduler wait/slowdown/response summaries over
+            the finished tasks, or ``None`` when nothing completed;
+            ``mean_queue_length`` is averaged over ``[0, sim_time]``.
         datacenter: Utilization / energy / failure counters.
+            ``mean_utilization`` is the used cores averaged over
+            ``[0, sim_time]``, divided by all installed cores (down and
+            released machines included).  ``energy_joules`` accrues
+            only while a machine is up: a failed or released machine
+            draws 0 W.
         chaos: Resilience summary (the chaos report's flat view plus
             violations), present when failures or retries were armed.
         slo_report: Per-objective SLO verdicts when objectives were
@@ -84,6 +100,17 @@ class ScenarioResult(Codec, schema="scenario-result/v1"):
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+
+    def science_digest(self) -> str:
+        """SHA-256 over the canonical JSON form without kernel counts.
+
+        Leaves out ``events_processed`` (here and in each shard result)
+        and the ``events`` column of each per-subsystem profile (see
+        :func:`~repro.observability.export.science_view`); every other
+        field is covered.  A kernel that spends fewer events on the
+        same model keeps this digest and changes :meth:`digest`.
+        """
+        return science_digest(self.to_dict())
 
     def summary(self) -> dict[str, float]:
         """Flat numeric view for tabulation (sweep report rows)."""

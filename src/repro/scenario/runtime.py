@@ -35,7 +35,7 @@ from ..scheduling.portfolio import PortfolioScheduler
 from ..scheduling.scheduler import ClusterScheduler
 from ..scheduling.workflow_engine import WorkflowEngine
 from ..selfaware.anomaly import RecoveryPlanner
-from ..sim import RandomStreams, Simulator
+from ..sim import RandomStreams, Simulator, Timeout
 from ..workload.task import Job, Task
 from ..workload.workflow import Workflow
 from .result import ScenarioResult, compile_result
@@ -337,10 +337,8 @@ def compose(*, seed: int,
         runtime.injector = FailureInjector(sim, datacenter, runtime.events,
                                            streams=streams,
                                            jitter=injection_jitter)
-    sim.process(_arrivals(sim, scheduler, items,
-                          engine=runtime.workflow_engine,
-                          router=submit_router),
-                name="arrivals")
+    _Arrivals(sim, scheduler, items, engine=runtime.workflow_engine,
+              router=submit_router)
     return runtime
 
 
@@ -410,10 +408,14 @@ def _flatten(items: Sequence) -> list[Task]:
     return tasks
 
 
-def _arrivals(sim: Simulator, scheduler: ClusterScheduler,
-              items: Sequence, engine: WorkflowEngine | None = None,
-              router: Callable[[Any], bool] | None = None):
-    """The unified arrival process: submit in (submit_time, name) order.
+class _Arrivals:
+    """The arrival process: submits items in (submit_time, name) order.
+
+    A driver of chained :class:`~repro.sim.Timeout` events, one per
+    distinct future submit time, started by a zero-delay timeout posted
+    at composition.  The items are sorted at that first delivery, not
+    at composition.  Its callbacks are bound to this object, named
+    ``arrivals``, so profiles attribute them to the workload.
 
     Workflows route through the :class:`WorkflowEngine` (dependency
     release + bounded retries) when one was armed; plain jobs and tasks
@@ -421,15 +423,52 @@ def _arrivals(sim: Simulator, scheduler: ClusterScheduler,
     item first and may claim it (returning True) instead of local
     submission — the cross-shard offload seam.
     """
-    for item in sorted(items, key=lambda t: (t.submit_time, t.name)):
-        delay = item.submit_time - sim.now
-        if delay > 0:
-            yield sim.timeout(delay)
-        if router is not None and router(item):
-            continue
-        if engine is not None and isinstance(item, Workflow):
-            engine.submit(item)
+
+    __slots__ = ("sim", "scheduler", "items", "engine", "router", "_next")
+
+    name = "arrivals"
+
+    def __init__(self, sim: Simulator, scheduler: ClusterScheduler,
+                 items: Sequence, engine: WorkflowEngine | None = None,
+                 router: Callable[[Any], bool] | None = None) -> None:
+        self.sim = sim
+        self.scheduler = scheduler
+        self.items = items
+        self.engine = engine
+        self.router = router
+        #: Index of the item the pending timeout submits.
+        self._next = 0
+        Timeout(sim, 0.0).add_callback(self._start)
+
+    def _start(self, _event: Timeout) -> None:
+        self.items = sorted(self.items,
+                            key=lambda t: (t.submit_time, t.name))
+        self._submit_from(0)
+
+    def _resume(self, _timeout: Timeout) -> None:
+        index = self._next
+        self._submit(self.items[index])
+        self._submit_from(index + 1)
+
+    def _submit_from(self, index: int) -> None:
+        """Submit items from ``index`` until one lies in the future."""
+        items = self.items
+        sim = self.sim
+        for index in range(index, len(items)):
+            item = items[index]
+            delay = item.submit_time - sim.now
+            if delay > 0:
+                self._next = index
+                Timeout(sim, delay).add_callback(self._resume)
+                return
+            self._submit(item)
+
+    def _submit(self, item: Any) -> None:
+        if self.router is not None and self.router(item):
+            return
+        if self.engine is not None and isinstance(item, Workflow):
+            self.engine.submit(item)
         elif isinstance(item, Job):
-            scheduler.submit_job(item)
+            self.scheduler.submit_job(item)
         else:
-            scheduler.submit(item)
+            self.scheduler.submit(item)

@@ -29,7 +29,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from ..autoscaling.autoscalers import AUTOSCALERS
 from ..datacenter.cluster import Cluster, homogeneous_cluster
@@ -62,7 +62,7 @@ from ..workload.trace import (
     rescale_records,
 )
 from ..workload.wfformat import wfformat_workflow
-from .codec import OMIT_DEFAULT, Codec
+from .codec import OMIT_DEFAULT, Codec, SpecError
 
 __all__ = [
     "ClusterSpec",
@@ -84,6 +84,7 @@ __all__ = [
     "ShardPlanSpec",
     "ScenarioSpec",
     "WORKLOAD_KINDS",
+    "WorkloadKind",
     "FAILURE_KINDS",
     "OBJECTIVE_KINDS",
     "open_arrival_tasks",
@@ -330,44 +331,106 @@ def _composite_workload(streams: RandomStreams, datacenter: Any,
     — say gaming plus banking plus FaaS on shared infrastructure — is
     declared as one spec, and how the sharded planet-scale scenario is
     expressed as an equivalent single-loop monolith for benchmarking.
+    :class:`WorkloadSpec` decodes and checks every part at load, so
+    each is built here straight from its kind's builder.
     """
     items: list = []
     for part in params["parts"]:
-        sub = WorkloadSpec.from_dict(part)
-        items.extend(sub.build(streams, datacenter))
+        kind = WORKLOAD_KINDS[part["kind"]]
+        items.extend(kind.build(streams, datacenter, part.get("params", {})))
     return items
 
 
-#: Workload kind -> ``(streams, datacenter, params) -> items`` builder.
-WORKLOAD_KINDS: dict[str, Callable] = {
-    "open-arrivals": _open_arrivals_workload,
-    "uniform-tasks": _uniform_tasks_workload,
-    "mmpp-jobs": _mmpp_jobs_workload,
-    "poisson-jobs": _poisson_jobs_workload,
-    "wfformat": _wfformat_workload,
-    "gwf-trace": _gwf_trace_workload,
-    "composite": _composite_workload,
+class WorkloadKind(NamedTuple):
+    """A registered workload kind: its builder and its ``params`` names.
+
+    ``build`` is ``(streams, datacenter, params) -> items``; ``required``
+    and ``optional`` are the only ``params`` names it reads.
+    """
+
+    build: Callable[[RandomStreams, Any, Mapping[str, Any]], Sequence]
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+
+
+_JOB_OPTIONAL = ("arrival_stream", "tasks_per_job", "fragmentation",
+                 "stream")
+
+#: Workload kind -> :class:`WorkloadKind`.
+WORKLOAD_KINDS: dict[str, WorkloadKind] = {
+    "open-arrivals": WorkloadKind(
+        _open_arrivals_workload, ("n_tasks",),
+        ("stream", "load", "cores", "runtime", "memory_per_core",
+         "prefix")),
+    "uniform-tasks": WorkloadKind(
+        _uniform_tasks_workload, ("n_tasks",),
+        ("runtime", "cores", "submit", "priority_levels", "prefix",
+         "stream")),
+    "mmpp-jobs": WorkloadKind(
+        _mmpp_jobs_workload,
+        ("profiles", "quiet_rate", "burst_rate", "quiet_duration",
+         "burst_duration", "horizon"), _JOB_OPTIONAL),
+    "poisson-jobs": WorkloadKind(
+        _poisson_jobs_workload, ("profiles", "rate", "horizon"),
+        _JOB_OPTIONAL),
+    "wfformat": WorkloadKind(
+        _wfformat_workload, (),
+        ("document", "path", "runtime_scale", "submit_time")),
+    "gwf-trace": WorkloadKind(
+        _gwf_trace_workload, ("path",),
+        ("fraction", "stream", "time_scale", "runtime_scale", "align",
+         "limit")),
+    "composite": WorkloadKind(_composite_workload, ("parts",)),
 }
 
 
 @dataclass(frozen=True)
 class WorkloadSpec(Codec):
-    """One declared workload: a registered ``kind`` plus parameters."""
+    """One declared workload: a registered ``kind`` plus parameters.
+
+    An unknown ``kind``, and a ``params`` name the kind does not read
+    or a missing required one, is a
+    :class:`~repro.scenario.codec.SpecError` naming the field; each
+    ``composite`` part is decoded here too.  The values' types are
+    checked only when the kind builds.
+    """
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(
-                f"unknown workload kind {self.kind!r}; "
-                f"registered: {sorted(WORKLOAD_KINDS)}")
-        object.__setattr__(self, "params", dict(self.params))
+        kind = WORKLOAD_KINDS.get(self.kind)
+        if kind is None:
+            raise SpecError(f"names an unknown workload kind {self.kind!r}; "
+                            f"registered: {sorted(WORKLOAD_KINDS)}",
+                            ("kind",))
+        params = dict(self.params)
+        object.__setattr__(self, "params", params)
+        known = kind.required + kind.optional
+        for name in params:
+            if name not in known:
+                raise SpecError(f"is not a {self.kind} parameter; known: "
+                                f"{', '.join(known)}", ("params", name))
+        for name in kind.required:
+            if name not in params:
+                raise SpecError("is required", ("params", name))
+        if self.kind == "composite":
+            parts = params["parts"]
+            if not isinstance(parts, (list, tuple)):
+                raise SpecError(f"must be a JSON list, not "
+                                f"{type(parts).__name__}",
+                                ("params", "parts"))
+            for index, part in enumerate(parts):
+                try:
+                    WorkloadSpec.from_dict(part)
+                except SpecError as error:
+                    raise SpecError(error.problem, ("params", "parts", index)
+                                    + error.path) from None
 
     def build(self, streams: RandomStreams, datacenter: Any) -> list:
         """Generate the workload items (tasks or jobs)."""
-        return list(WORKLOAD_KINDS[self.kind](streams, datacenter,
-                                              self.params))
+        return list(WORKLOAD_KINDS[self.kind].build(streams, datacenter,
+                                                    self.params))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from ..observability.export import dumps_deterministic
+from ..observability.export import dumps_deterministic, science_digest
 from ..observability.federation import TelemetryMerge
 from .result import ScenarioResult
 from .spec import ScenarioSpec
@@ -145,6 +145,13 @@ class SweepReport:
     def digest(self) -> str:
         """SHA-256 over the canonical JSON form."""
         return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+
+    def science_digest(self) -> str:
+        """:meth:`digest` without the runs' and telemetry's kernel counts.
+
+        See :meth:`ScenarioResult.science_digest`.
+        """
+        return science_digest(self.to_dict())
 
     def rows(self) -> list[tuple[str, dict[str, float]]]:
         """(label, flat summary) per completed run, for tabulation.

@@ -17,7 +17,7 @@ from bisect import insort
 
 from ..datacenter.datacenter import Datacenter
 from ..datacenter.machine import Machine
-from ..sim import Simulator, TimeWeightedMonitor, summarize
+from ..sim import Event, Simulator, Timeout, TimeWeightedMonitor, summarize
 from ..workload.task import Job, Task, TaskState
 from .policies import (FCFS, FairShare, FirstFit, PlacementPolicy,
                        QueuePolicy, incremental_sort_key,
@@ -60,6 +60,28 @@ class _HedgeRace:
         #: The primary genuinely failed (machine loss, not cancellation).
         self.primary_failed = False
         self.winner: Task | None = None
+
+
+class _HedgeWatch:
+    """The straggler timer of one watched task.
+
+    The callback owner of the task's one hedge :class:`Timeout`; its
+    ``hedge-watch-<task>`` name lets profiles attribute the timeout to
+    scheduling.
+    """
+
+    __slots__ = ("scheduler", "task")
+
+    def __init__(self, scheduler: "ClusterScheduler", task: Task) -> None:
+        self.scheduler = scheduler
+        self.task = task
+
+    @property
+    def name(self) -> str:
+        return "hedge-watch-" + self.task.name
+
+    def fire(self, _timeout: Event) -> None:
+        self.scheduler._hedge_due(self.task)
 
 
 class ClusterScheduler:
@@ -158,9 +180,9 @@ class ClusterScheduler:
         #: Backup finished after the primary had already failed.
         self.hedge_rescues = 0
         self._wakeup = sim.event()
+        self._wakeup.add_callback(self._wake)
         self._stopped = False
         datacenter.on_capacity_change.append(self._poke)
-        sim.process(self._run(), name="scheduler-loop")
 
     # ------------------------------------------------------------------
     # Submission API
@@ -231,20 +253,27 @@ class ClusterScheduler:
         if not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    def _run(self):
-        while True:
-            yield self._wakeup
-            self._wakeup = self.sim.event()
-            if self._queue_dirty:
-                # Flush the deferred queue-length seam.  _poke()
-                # guarantees this runs at the same sim timestamp as the
-                # deferred changes, so the flush is bit-identical to
-                # eager per-change updates.
-                self._queue_dirty = False
-                self.queue_length.update(self.sim.now, len(self.queue))
-            if self._stopped:
-                return
-            self._schedule_round()
+    def _wake(self, _wakeup: Event) -> None:
+        """The wake-up event's callback: arm the next one, run a round.
+
+        A poke triggers the wake-up event, which the kernel delivers in
+        its same-time FIFO place; its delivery runs the round.  The
+        callback's owner is the scheduler, so profiles attribute it by
+        the scheduler's name (``scheduler`` by default: scheduling).
+        After :meth:`stop` the next wake-up gets no callback.
+        """
+        wakeup = self._wakeup = self.sim.event()
+        if self._queue_dirty:
+            # Flush the deferred queue-length seam.  _poke() guarantees
+            # this runs at the same sim timestamp as the deferred
+            # changes, so the flush is bit-identical to eager
+            # per-change updates.
+            self._queue_dirty = False
+            self.queue_length.update(self.sim.now, len(self.queue))
+        if self._stopped:
+            return
+        wakeup.add_callback(self._wake)
+        self._schedule_round()
 
     def _schedule_round(self) -> None:
         """One scheduling epoch: walk the queue only as far as work fits.
@@ -459,12 +488,11 @@ class ClusterScheduler:
                 and self.hedge_policy.should_consider(task.runtime)):
             expected = machine.effective_runtime(task)
             delay = self.hedge_policy.hedge_delay(expected)
-            self.sim.process(self._hedge_watch(task, delay),
-                             name=f"hedge-watch-{task.name}")
+            Timeout(self.sim, delay).add_callback(
+                _HedgeWatch(self, task).fire)
 
-    def _hedge_watch(self, task: Task, delay: float):
-        """Launch a speculative backup if ``task`` is still running later."""
-        yield self.sim.timeout(delay)
+    def _hedge_due(self, task: Task) -> None:
+        """Launch a speculative backup if ``task`` is still running."""
         if (task not in self._running or task in self._hedges
                 or task.state is not TaskState.RUNNING):
             return

@@ -231,7 +231,8 @@ class Simulator:
         The virtual-time advance is charged to the subsystem of the
         event that moved the clock; each callback's wall time is
         charged to the subsystem named by the callback's owner (the
-        process it resumes, or the task execution it advances),
+        process it resumes, or the object it is a bound method of,
+        such as the task execution it advances),
         falling back to the event's own name, then to the kernel.
         Each label resolves to its subsystem's bucket through the
         profiler's label map, and the bucket is updated in place.

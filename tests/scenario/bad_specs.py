@@ -37,6 +37,19 @@ BAD_SPECS = [
     ("misspelled-field", "chaos_baseline.json",
      {"topology.datacentre": "dc"}, SpecError,
      "topology.datacentre is not a TopologySpec field"),
+    # Workload params: each kind names the params it reads.
+    ("misspelled-workload-param", "chaos_baseline.json",
+     {"workload.params.n_task": 5}, SpecError,
+     "workload.params.n_task is not a uniform-tasks parameter"),
+    ("composite-part-misspelled-kind", "chaos_baseline.json",
+     {"workload": {"kind": "composite",
+                   "params": {"parts": [{"kin": "uniform-tasks"}]}}},
+     SpecError, "workload.params.parts[0].kin is not a WorkloadSpec field"),
+    ("composite-part-unknown-kind", "chaos_baseline.json",
+     {"workload": {"kind": "composite", "params": {"parts": [
+         {"kind": "uniform-task", "params": {"n_tasks": 3}}]}}},
+     SpecError, "workload.params.parts[0].kind names an unknown workload "
+                "kind 'uniform-task'"),
     # Well-typed but out of range: refused by the classes' own checks.
     ("autoscaler-interval-nan", "chaos_baseline.json",
      {"autoscaler": {"policy": "react", "interval": NAN}}, ValueError,

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.observability import science_digest
 from repro.observability.federation import (
     TelemetrySnapshot,
     fleet_digest,
@@ -48,11 +49,14 @@ class TestMergedSnapshotDeterminism:
             assert report.telemetry is not None
             assert report.telemetry["runs"] == [
                 f"point-{i:05d}" for i in range(len(SEEDS))]
-            digests.add(fleet_digest(report.telemetry))
-        assert digests == {golden["fleet_digest"]}
+            digests.add((science_digest(report.telemetry),
+                         fleet_digest(report.telemetry)))
+        assert digests == {(golden["fleet_science"], golden["fleet_digest"])}
 
     def test_observed_report_digest_pinned(self, golden):
-        assert observed_report(1).digest() == golden["report_digest"]
+        report = observed_report(1)
+        assert report.science_digest() == golden["report_science"]
+        assert report.digest() == golden["report_digest"]
 
     def test_report_roundtrip_preserves_telemetry(self):
         report = observed_report(1)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability import science_digest
 from repro.observability.federation import fleet_digest
 from repro.scenario import (ClusterSpec, ScenarioResult, ScenarioSpec,
                             ShardLinkSpec, ShardOffloadSpec, ShardPlanSpec,
@@ -286,6 +287,8 @@ def test_planet_scale_digests_pinned(golden, planet_spec):
     assert planet_spec.fingerprint() == pinned["fingerprint"]
     runtime = ShardedScenarioRuntime(planet_spec, capture=True)
     result = runtime.execute()
+    assert result.science_digest() == pinned["science"]
+    assert science_digest(runtime.telemetry) == pinned["fleet_science"]
     assert result.digest() == pinned["result"]
     assert fleet_digest(runtime.telemetry) == pinned["fleet"]
     coupling = result.shards["coupling"]

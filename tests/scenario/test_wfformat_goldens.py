@@ -39,6 +39,7 @@ def test_gallery_spec_digest_pinned(golden, name):
     spec = ScenarioSpec.from_json((SPEC_DIR / name).read_text())
     assert spec.fingerprint() == pinned["fingerprint"]
     result = spec.run()
+    assert result.science_digest() == pinned["science"]
     assert result.digest() == pinned["result"]
     assert result.tasks_finished == result.tasks_total == pinned["tasks"]
 

@@ -21,9 +21,13 @@ Checks per record:
   the run) is well-formed and identical across captures — two
   captures claiming the same digest name must have run the same spec;
 * digest names match between the before and current captures;
-* digest *shas* match between the before and current captures — the
-  record's claim is "same results, faster", so a drifted sha fails
-  with a per-field diff of the digest summaries to make the divergence
+* digest *science shas* match between the before and current captures
+  — the record's claim is "same science, faster".  The science sha is
+  recomputed from the fields each capture stores, leaving out ``sha``
+  and the kernel fields (events processed, event-trace length and
+  SHA-256), which count the events the kernel spent and are
+  re-captured when a kernel change spends fewer.  A drift fails with a
+  per-field diff of the digest summaries to make the divergence
   readable;
 * ``calibrated_cost`` is monotonically non-regressing from before to
   current for every scenario tracked by both captures (a perf
@@ -41,6 +45,12 @@ import json
 import math
 import sys
 from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.perf.harness import KERNEL_FIELDS, science_sha  # noqa: E402
 
 SCHEMA = "bench-sim-core/v1"
 # Sharding records compare a monolithic spec against a sharded one —
@@ -101,15 +111,16 @@ def _check_capture(name: str, capture: object) -> list[str]:
 
 
 def _flatten_digest(entry: dict) -> dict:
-    """Digest entry as dotted-path leaves, minus the hash fields.
+    """Digest entry's science fields as dotted-path leaves.
 
-    Digest shapes vary per scenario (flat statistics, a nested
+    Leaves out the hash, the fingerprint and the kernel fields.  Digest
+    shapes vary per scenario (flat statistics, a nested
     ``summary``/``statistics`` dict, or both); one level of flattening
     makes them diffable field by field.
     """
     flat = {}
     for key, value in entry.items():
-        if key == "sha" or key == "fingerprint":
+        if key in ("sha", "fingerprint") or key in KERNEL_FIELDS:
             continue
         if isinstance(value, dict):
             for subkey, subvalue in value.items():
@@ -119,18 +130,19 @@ def _flatten_digest(entry: dict) -> dict:
     return flat
 
 
-def _digest_drift_diff(scenario: str, before_entry: dict,
+def _digest_drift_diff(scenario: str, shas: tuple[str, str],
+                       before_entry: dict,
                        current_entry: dict) -> list[str]:
-    """Readable messages for a digest whose sha drifted between captures.
+    """Readable messages for a digest whose science drifted.
 
     The sha alone says "something changed"; the summary diff says
-    *what*: every statistic that differs is printed as its own line, so
-    a determinism break reads like a failing assertion, not a hash.
+    *what*: every science field that differs is printed as its own
+    line, so a determinism break reads like a failing assertion, not a
+    hash.
     """
-    problems = [f"digest {scenario} sha drifted between captures: "
-                f"{before_entry['sha'][:12]}... != "
-                f"{current_entry['sha'][:12]}... (the trajectory claim is "
-                f"'same results, faster')"]
+    problems = [f"digest {scenario} science sha drifted between captures: "
+                f"{shas[0][:12]}... != {shas[1][:12]}... (the trajectory "
+                f"claim is 'same science, faster')"]
     before_flat = _flatten_digest(before_entry)
     current_flat = _flatten_digest(current_entry)
     lines = []
@@ -139,10 +151,6 @@ def _digest_drift_diff(scenario: str, before_entry: dict,
         new = current_flat.get(key, "<absent>")
         if old != new:
             lines.append(f"digest {scenario} {key}: {old!r} -> {new!r}")
-    if not lines:
-        lines.append(f"digest {scenario} statistics agree — the drift is "
-                     f"in the event trace; diff the captured goldens "
-                     f"(tests/perf/goldens)")
     overflow = len(lines) - DRIFT_DIFF_LIMIT
     if overflow > 0:
         lines = lines[:DRIFT_DIFF_LIMIT]
@@ -263,10 +271,9 @@ def check_record(path: Path) -> list[str]:
                             f"{fingerprints[1]!r} (different spec, not a "
                             f"comparable trajectory)")
             continue
-        shas = [entry.get("sha") for entry in entries]
-        if all(isinstance(sha, str) and len(sha) == 64 for sha in shas) \
-                and shas[0] != shas[1]:
-            problems.extend(_digest_drift_diff(scenario, *entries))
+        shas = (science_sha(entries[0]), science_sha(entries[1]))
+        if shas[0] != shas[1]:
+            problems.extend(_digest_drift_diff(scenario, shas, *entries))
 
     before_metrics = before.get("metrics") if isinstance(before, dict) else {}
     current_metrics = (current.get("metrics")

@@ -6,9 +6,11 @@ same scheduling scenario the perf harness times
 (``benchmarks.perf.scenarios``), but under an attached
 :class:`~repro.observability.observer.Observer` with profiling on, and
 prints the per-subsystem attribution table — event counts, simulated
-time, and (non-deterministic) wall time per subsystem.  Future perf
-PRs start here: the table says which layer owns the wall clock before
-anyone touches code.
+time, and (non-deterministic) wall time per subsystem — and the event
+budget: kernel events per task, overall beside the events/sec, and per
+subsystem.  Future perf PRs start here: the table says which layer
+owns the wall clock, and the budget which layer posts the events,
+before anyone touches code.
 
 The profiled run is *slower* than the benchmark run (profiling is the
 one observability feature with per-event overhead), so the numbers are
@@ -61,17 +63,22 @@ def profile_scheduling(size: str) -> str:
     runtime.finalize()
 
     assert observer.profiler is not None
+    report = observer.profiler.report()
+    budget = ", ".join(f"{name} {entry['events'] / n_tasks:.2f}"
+                       for name, entry in report.items())
     lines = [
         f"scheduling macro scenario, size={size!r}: "
         f"{n_tasks} tasks / {n_machines} machines",
         f"unprofiled: {plain_elapsed:.3f}s wall, {events} events "
-        f"({events / plain_elapsed:,.0f} events/sec)",
+        f"({events / plain_elapsed:,.0f} events/sec, "
+        f"{events / n_tasks:.2f} events/task)",
         f"profiled:   {profiled_elapsed:.3f}s wall "
         "(profiling overhead included — attribution only)",
         "",
-        render_profile(observer.profiler.report(),
-                       wall=observer.profiler.wall_report(),
+        render_profile(report, wall=observer.profiler.wall_report(),
                        title="Per-subsystem attribution"),
+        "",
+        f"events/task by subsystem: {budget}",
     ]
     return "\n".join(lines)
 

@@ -6,9 +6,10 @@ Runs the committed three-region gallery spec
 per-shard telemetry capture — and demands:
 
 * the merged ``ScenarioResult`` digest and the merged fleet
-  ``TelemetrySnapshot`` digest equal the goldens pinned in
-  ``tests/scenario/goldens/sharding.json``, so a fresh host computes
-  the same bytes;
+  ``TelemetrySnapshot`` digest, and the science digests of both (the
+  same bytes without the kernel's event counts), equal the goldens
+  pinned in ``tests/scenario/goldens/sharding.json``, so a fresh host
+  computes the same bytes;
 * observation did not change the result bytes (the plain run must
   produce the same result JSON as the observed one);
 * real cross-shard traffic flowed (the spec's ``ap`` region offloads
@@ -36,6 +37,7 @@ GOLDEN_PATH = REPO_ROOT / "tests" / "scenario" / "goldens" / "sharding.json"
 
 def main() -> int:
     """Run the smoke check; return a process exit code."""
+    from repro.observability import science_digest
     from repro.observability.federation import fleet_digest
     from repro.scenario import ScenarioSpec
     from repro.sim.sharding import ShardedScenarioRuntime
@@ -61,6 +63,14 @@ def main() -> int:
     check("spec fingerprint matches the golden",
           spec.fingerprint() == pinned["fingerprint"],
           f"{spec.fingerprint()} (golden {pinned['fingerprint']})")
+    check("result science digest matches the golden",
+          result.science_digest() == pinned["science"],
+          f"{result.science_digest()[:16]} (golden "
+          f"{pinned['science'][:16]})")
+    science = science_digest(observed.telemetry)
+    check("fleet telemetry science digest matches the golden",
+          science == pinned["fleet_science"],
+          f"{science[:16]} (golden {pinned['fleet_science'][:16]})")
     check("result digest matches the golden",
           result.digest() == pinned["result"],
           f"{result.digest()[:16]} (golden {pinned['result'][:16]})")
