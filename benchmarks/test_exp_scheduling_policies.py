@@ -11,6 +11,7 @@ than static while completing the same work.
 
 import random
 
+from repro.autoscaling import AutoscalingController
 from repro.datacenter import Datacenter, MachineSpec, homogeneous_cluster
 from repro.reporting import render_table
 from repro.scheduling import (
@@ -19,7 +20,6 @@ from repro.scheduling import (
     ClusterScheduler,
     OnDemandProvisioning,
     PortfolioScheduler,
-    Provisioner,
     ReservedPlusOnDemand,
     StaticProvisioning,
 )
@@ -80,9 +80,8 @@ def run_provisioning(policy, jobs) -> dict[str, float]:
     dc = Datacenter(sim, [homogeneous_cluster(
         "c", 8, MachineSpec(cores=8, memory=1e9, cost_per_hour=1.0))])
     scheduler = ClusterScheduler(sim, dc, queue_policy=SJF())
-    provisioner = Provisioner(sim, dc, scheduler, policy, interval=10.0,
-                              reserved_machines=getattr(policy, "reserved",
-                                                        0))
+    provisioner = AutoscalingController(sim, dc, scheduler, policy,
+                                        interval=10.0)
 
     def feeder(sim):
         for job in jobs:
@@ -96,7 +95,8 @@ def run_provisioning(policy, jobs) -> dict[str, float]:
     provisioner.stop()
     expected = sum(len(j) for j in jobs)
     assert len(scheduler.completed) == expected
-    return {"cost": provisioner.total_cost(),
+    reserved = getattr(policy, "reserved", 0)
+    return {"cost": provisioner.total_cost(reserved_machines=reserved),
             "mean_leased": provisioner.mean_leased(),
             "slowdown": scheduler.statistics()["slowdown_mean"]}
 

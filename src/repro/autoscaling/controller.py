@@ -11,6 +11,7 @@ exactly the experiment design of [43].
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable
 
 from ..datacenter.datacenter import Datacenter
@@ -25,11 +26,15 @@ __all__ = ["AutoscalingController"]
 class AutoscalingController:
     """Periodic autoscaling of a datacenter's machine lease.
 
+    It evaluates once at construction time, then every ``interval`` on
+    a daemon :meth:`~repro.sim.Simulator.every` tick, which an
+    open-ended run delivers only while a queued task waits for it.
+
     Args:
         sim: The simulator.
         datacenter: The elastic platform.
         scheduler: Supplies the queued-demand signal.
-        autoscaler: The scaling policy under test.
+        autoscaler: The scaling (or provisioning) policy under test.
         interval: Evaluation period in simulated seconds.
         soon_eligible: Optional callable returning the number of tasks
             one dependency away from eligibility (workflow token
@@ -40,8 +45,6 @@ class AutoscalingController:
                  scheduler: ClusterScheduler, autoscaler: Autoscaler,
                  interval: float = 10.0,
                  soon_eligible: Callable[[], int] | None = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
         self.datacenter = datacenter
         self.scheduler = scheduler
@@ -50,12 +53,13 @@ class AutoscalingController:
         self.soon_eligible = soon_eligible or (lambda: 0)
         self._demand_points: list[tuple[float, float]] = []
         self._supply_points: list[tuple[float, float]] = []
-        self._stopped = False
         #: Emergency capacity boosts taken in response to SLO alerts
         #: (see :meth:`respond_to_alerts`).
         self.alert_boosts = 0
-        self._record(initial=True)
-        sim.process(self._run(), name=f"autoscaler-{autoscaler.name}")
+        self._record()
+        self._ticker = sim.every(interval, self._tick, at_start=True,
+                                 name=f"autoscaler-{autoscaler.name}")
+        sim.keep_alive.append(self._work_waits)
 
     # ------------------------------------------------------------------
     # Control loop
@@ -75,44 +79,44 @@ class AutoscalingController:
             max_machines=len(machines),
         )
 
-    def _record(self, initial: bool = False) -> None:
+    def _record(self) -> None:
         snapshot = self._snapshot()
-        cores_per_machine = snapshot.cores_per_machine
-        demand = snapshot.demand_cores / cores_per_machine
-        supply = snapshot.machines
         time = self.sim.now
-        if initial or not self._demand_points or (
-                self._demand_points[-1][0] < time):
-            self._demand_points.append((time, demand))
-            self._supply_points.append((time, float(supply)))
+        self._demand_points.append(
+            (time, snapshot.demand_cores / snapshot.cores_per_machine))
+        self._supply_points.append((time, float(snapshot.machines)))
 
-    def _run(self):
-        while not self._stopped:
-            snapshot = self._snapshot()
-            target = self.autoscaler.decide(snapshot)
-            before = self.leased_machines
-            self.datacenter.scale_to(target)
-            self._record()
-            observer = self.sim.observer
-            if observer is not None:
-                after = self.leased_machines
-                metrics = observer.metrics
-                metrics.gauge("autoscaling.machines").set(float(after))
-                metrics.gauge("autoscaling.demand_cores").set(
-                    float(snapshot.demand_cores))
-                if after != before:
-                    direction = ("scale_ups" if after > before
-                                 else "scale_downs")
-                    metrics.counter(f"autoscaling.{direction}").inc()
-                    observer.tracer.instant(
-                        "autoscale", category="autoscaling",
-                        attrs={"target": target, "before": before,
-                               "after": after})
-            yield self.sim.timeout(self.interval)
+    def _tick(self, _now: float) -> None:
+        snapshot = self._snapshot()
+        target = self.autoscaler.decide(snapshot)
+        before = self.leased_machines
+        self.datacenter.scale_to(target)
+        self._record()
+        observer = self.sim.observer
+        if observer is not None:
+            after = self.leased_machines
+            metrics = observer.metrics
+            metrics.gauge("autoscaling.machines").set(float(after))
+            metrics.gauge("autoscaling.demand_cores").set(
+                float(snapshot.demand_cores))
+            if after != before:
+                direction = "scale_ups" if after > before else "scale_downs"
+                metrics.counter(f"autoscaling.{direction}").inc()
+                observer.tracer.instant(
+                    "autoscale", category="autoscaling",
+                    attrs={"target": target, "before": before,
+                           "after": after})
+
+    def _work_waits(self) -> bool:
+        # Keep-alive: queued work may wait for a tick to lease capacity
+        # (after a scale to zero, nothing else would run it).
+        capacity = self.datacenter.capacity
+        return (not self._ticker.stopped and bool(self.scheduler.queue)
+                and capacity.available_count() < len(capacity.machines()))
 
     def stop(self) -> None:
         """Stop the control loop at the next tick."""
-        self._stopped = True
+        self._ticker.stop()
 
     def respond_to_alerts(self, engine, boost: int = 1) -> None:
         """Lease extra machines the moment a burn-rate alert fires.
@@ -162,6 +166,39 @@ class AutoscalingController:
     def supply_series(self) -> StepSeries:
         """Leased machines over the run so far."""
         return StepSeries(self._dedupe(self._supply_points))
+
+    def mean_leased(self) -> float:
+        """Time-weighted mean of :meth:`supply_series` up to now."""
+        elapsed = self.sim.now - self._supply_points[0][0]
+        if elapsed <= 0:
+            return float(self.leased_machines)
+        return self._lease_integral(float) / elapsed
+
+    def total_cost(self, reserved_machines: int = 0,
+                   on_demand_premium: float = 2.5) -> float:
+        """Lease cost in dollars of :meth:`supply_series` up to now.
+
+        ``n`` leased machines cost the ``cost_per_hour`` of the first
+        ``n``, those past ``reserved_machines`` times the on-demand
+        premium: the reserved/on-demand price gap of [170].
+        """
+        if on_demand_premium < 1.0:
+            raise ValueError("on_demand_premium must be >= 1.0")
+        rates = list(accumulate(
+            (machine.spec.cost_per_hour
+             * (1.0 if index < reserved_machines else on_demand_premium)
+             for index, machine in enumerate(
+                 self.datacenter.capacity.machines())), initial=0.0))
+        return self._lease_integral(lambda leased: rates[int(leased)]) / 3600.0
+
+    def _lease_integral(self, rate: Callable[[float], float]) -> float:
+        """Integral of ``rate(leased machines)`` from the start to now."""
+        supply = self.supply_series()
+        start, end = supply.times[0], self.sim.now
+        if end <= start:
+            return 0.0
+        return sum((right - left) * rate(leased)
+                   for left, right, leased in supply.segments(start, end))
 
     @staticmethod
     def _dedupe(points: list[tuple[float, float]]) -> list[tuple[float, float]]:

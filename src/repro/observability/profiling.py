@@ -38,7 +38,7 @@ DEFAULT_RULES: tuple[tuple[str, str], ...] = (
     ("scheduler", "scheduling"),
     ("hedge-watch", "scheduling"),
     ("workflow", "scheduling"),
-    ("provisioner", "scheduling"),
+    ("portfolio", "scheduling"),
     ("faas-", "faas"),
     ("guarded-", "faas"),
     ("autoscaler", "autoscaling"),
@@ -46,6 +46,7 @@ DEFAULT_RULES: tuple[tuple[str, str], ...] = (
     ("repair@", "resilience"),
     ("arrivals", "workload"),
     ("feeder", "workload"),
+    ("shard-", "sharding"),
 )
 
 #: Most callback labels a profiler keeps resolved to their bucket.

@@ -40,7 +40,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry, \
     quantile_from_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.engine import Process, Simulator
+    from ..sim.engine import Simulator, Ticker
 
 __all__ = ["Window", "StreamSeries", "StreamingPipeline", "watch_all"]
 
@@ -137,7 +137,7 @@ class StreamingPipeline:
 
     Two ways to drive the ticks:
 
-    - :meth:`attach` schedules a real tick process on the simulator
+    - :meth:`attach` schedules real tick events on the simulator
       (via :meth:`~repro.sim.engine.Simulator.every`) — natural for
       scenarios that run to a horizon.
     - :meth:`advance` evaluates all due ticks up to a given time
@@ -165,7 +165,7 @@ class StreamingPipeline:
         self.ticks = 0
         self.last_tick: float | None = None
         self._next_tick = sim.now + self.interval
-        self._process: "Process | None" = None
+        self._ticker: "Ticker | None" = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -201,18 +201,18 @@ class StreamingPipeline:
     # ------------------------------------------------------------------
     # Tick drivers
     # ------------------------------------------------------------------
-    def attach(self, until: float | None = None) -> "Process":
+    def attach(self, until: float | None = None) -> "Ticker":
         """Schedule evaluation ticks as real simulator events.
 
-        ``until`` bounds the tick process (ticks stop once the next one
-        would land past it) so the pipeline cannot keep an otherwise
-        finished simulation running forever.
+        ``until`` bounds the ticks (none lands past it).  Without it
+        the ticks are daemons: an open-ended run ends without waiting
+        for them, and a time-bounded run delivers them to its end.
         """
-        if self._process is not None:
+        if self._ticker is not None:
             raise RuntimeError("pipeline ticks are already scheduled")
-        self._process = self.sim.every(self.interval, self._scheduled_tick,
-                                       until=until, name="telemetry-tick")
-        return self._process
+        self._ticker = self.sim.every(self.interval, self._scheduled_tick,
+                                      until=until, name="telemetry-tick")
+        return self._ticker
 
     def _scheduled_tick(self, now: float) -> None:
         self._next_tick = now + self.interval

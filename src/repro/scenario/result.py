@@ -40,10 +40,10 @@ class ScenarioResult(Codec, schema="scenario-result/v1"):
         seed: The root seed the run derived all randomness from.
         fingerprint: The spec's identity digest (empty for runs
             composed without a spec).
-        sim_time: Final simulated clock.  It can run past the last
-            task event: controller ticks and hedge watchers keep
-            posting events after the work ends, and a declared
-            ``duration`` runs the clock to its end.
+        sim_time: Final simulated clock.  A declared ``duration``
+            runs it to its end.  Without one, controller ticks do not
+            extend it, but hedge watchers still can: each fires after
+            its whole delay, even once its task is done.
         events_processed: Total events the simulator processed (a
             kernel count).
         makespan: Last task-finish time (``sim_time`` if none finished).

@@ -10,16 +10,17 @@ single composition root they now share: it builds a
 kernel preserves its determinism digests bit for bit.
 
 A run advances through the kernel's one loop,
-:meth:`~repro.sim.engine.Simulator.advance_until`: to event exhaustion
-(bounded by ``duration``/``max_time``) without the clock jump that
-``run(until=...)`` performs on an early drain, advancing streaming
-telemetry from the loop's ``before_step`` hook so observation can
-never perturb the event order.  A shard harness drives the same
-window and tail epoch by epoch.
+:meth:`~repro.sim.engine.Simulator.advance_until`: to its ``duration``,
+or else until only daemon controller ticks remain (capped at
+``max_time``), without the clock jump that ``run(until=...)`` performs
+on an early drain, advancing streaming telemetry from the loop's
+``before_step`` hook so observation can never perturb the event order.
+A shard harness drives the same window and tail epoch by epoch.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence
 
 from ..autoscaling.controller import AutoscalingController
@@ -51,7 +52,7 @@ class ScenarioRuntime:
     armed), the SLO engine (if objectives were declared), the
     datacenter, scheduler, resilience machinery, workload, and failure
     injector.  :meth:`drive` executes the run, :meth:`finalize` stops
-    the periodic processes, and :meth:`result` compiles the
+    the scheduler and controllers, and :meth:`result` compiles the
     deterministic :class:`~repro.scenario.result.ScenarioResult`.
     """
 
@@ -87,10 +88,10 @@ class ScenarioRuntime:
     def drive(self, trace: list[float] | None = None) -> None:
         """Step the run to completion: :meth:`advance` then :meth:`settle`.
 
-        Runs to event exhaustion bounded by ``duration`` (when set) or
-        ``max_time``, *without* the clock jump to the stop time that
-        ``Simulator.run(until=...)`` performs on an early drain — the
-        availability denominator is the actual elapsed time.
+        Runs to ``duration`` (when set) or else to an idle simulator
+        (capped at ``max_time``), *without* the clock jump to the stop
+        time that ``Simulator.run(until=...)`` performs on an early
+        drain — the availability denominator is the actual elapsed time.
 
         Args:
             trace: Optional list; when given, every event's time is
@@ -108,14 +109,18 @@ class ScenarioRuntime:
         """Process this run's events strictly before ``stop``.
 
         One :meth:`~repro.sim.engine.Simulator.advance_until` window,
-        capped at ``duration`` (when set) or ``max_time``.  Streaming
-        telemetry ticks are driven from its ``before_step`` hook rather
-        than as sim events, so observation can never keep a drained
-        simulation alive or perturb its event order.  :meth:`drive`
-        opens one unbounded window; a shard harness opens one per
-        epoch.  Returns the number of events processed.
+        bounded by ``duration`` when declared, else open-ended (it ends
+        once only daemon controller ticks remain) and capped at
+        ``max_time``.  Streaming telemetry ticks are driven from its
+        ``before_step`` hook rather than as sim events, so observation
+        can never keep a drained simulation alive or perturb its event
+        order.  :meth:`drive` opens one unbounded window; a shard
+        harness opens one per epoch.  Returns the number of events
+        processed.
         """
-        bound = self.duration if self.duration is not None else self.max_time
+        bound = self.duration
+        if bound is None and stop > self.max_time:
+            stop = math.nextafter(self.max_time, math.inf)
         record = trace.append if trace is not None else None
         if self.engine is None:
             hook = record
@@ -144,7 +149,7 @@ class ScenarioRuntime:
             self.engine.pipeline.advance(sim.now)
 
     def finalize(self) -> None:
-        """Stop the periodic processes (scheduler, portfolio, scaler)."""
+        """Stop the scheduler and the controller ticks (portfolio, scaler)."""
         if self._finalized:
             return
         self._finalized = True

@@ -284,11 +284,8 @@ def _wfformat_workload(streams: RandomStreams, datacenter: Any,
     JSON file instead.  ``runtime_scale`` and ``submit_time`` pass
     through to :func:`~repro.workload.wfformat.wfformat_workflow`.
     """
-    document = params.get("document")
-    if document is None:
-        document = params["path"]
     return [wfformat_workflow(
-        document,
+        params["document"] if "document" in params else params["path"],
         runtime_scale=float(params.get("runtime_scale", 1.0)),
         submit_time=float(params.get("submit_time", 0.0)))]
 
@@ -345,12 +342,14 @@ class WorkloadKind(NamedTuple):
     """A registered workload kind: its builder and its ``params`` names.
 
     ``build`` is ``(streams, datacenter, params) -> items``; ``required``
-    and ``optional`` are the only ``params`` names it reads.
+    and ``optional`` are the only ``params`` names it reads, and
+    exactly one of the ``one_of`` names (when given) must be present.
     """
 
     build: Callable[[RandomStreams, Any, Mapping[str, Any]], Sequence]
     required: tuple[str, ...]
     optional: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
 
 
 _JOB_OPTIONAL = ("arrival_stream", "tasks_per_job", "fragmentation",
@@ -375,7 +374,8 @@ WORKLOAD_KINDS: dict[str, WorkloadKind] = {
         _JOB_OPTIONAL),
     "wfformat": WorkloadKind(
         _wfformat_workload, (),
-        ("document", "path", "runtime_scale", "submit_time")),
+        ("document", "path", "runtime_scale", "submit_time"),
+        one_of=("document", "path")),
     "gwf-trace": WorkloadKind(
         _gwf_trace_workload, ("path",),
         ("fraction", "stream", "time_scale", "runtime_scale", "align",
@@ -414,6 +414,9 @@ class WorkloadSpec(Codec):
         for name in kind.required:
             if name not in params:
                 raise SpecError("is required", ("params", name))
+        if kind.one_of and sum(name in params for name in kind.one_of) != 1:
+            raise SpecError(f"needs exactly one of "
+                            f"{' and '.join(kind.one_of)}", ("params",))
         if self.kind == "composite":
             parts = params["parts"]
             if not isinstance(parts, (list, tuple)):

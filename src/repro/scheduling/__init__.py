@@ -40,9 +40,6 @@ from .policies import (
 from .portfolio import PolicyScore, PortfolioScheduler, estimate_mean_slowdown
 from .provisioning import (
     OnDemandProvisioning,
-    Provisioner,
-    ProvisioningPolicy,
-    ProvisioningState,
     ReservedPlusOnDemand,
     StaticProvisioning,
 )
@@ -90,12 +87,9 @@ __all__ = [
     "run_architecture",
     "WorkflowEngine",
     "WorkflowFailed",
-    "ProvisioningState",
-    "ProvisioningPolicy",
     "StaticProvisioning",
     "OnDemandProvisioning",
     "ReservedPlusOnDemand",
-    "Provisioner",
     "PortfolioScheduler",
     "PolicyScore",
     "estimate_mean_slowdown",

@@ -83,10 +83,10 @@ class PolicyScore:
 class PortfolioScheduler:
     """Periodically re-selects the live queue policy of a scheduler.
 
-    Every ``interval`` simulated seconds, all candidate policies are
-    scored on the current queue with :func:`estimate_mean_slowdown`; the
-    winner becomes the scheduler's queue policy.  ``history`` records
-    each switch for later analysis.
+    At construction and every ``interval`` simulated seconds after, all
+    candidate policies are scored on the current queue with
+    :func:`estimate_mean_slowdown`; the winner becomes the scheduler's
+    queue policy.  ``history`` records each switch for later analysis.
     """
 
     def __init__(self, sim: Simulator, scheduler: ClusterScheduler,
@@ -94,15 +94,14 @@ class PortfolioScheduler:
                  interval: float = 50.0) -> None:
         if not candidates:
             raise ValueError("portfolio needs at least one candidate policy")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
         self.scheduler = scheduler
         self.candidates = list(candidates)
         self.interval = interval
         self.history: list[tuple[float, str]] = []
-        self._stopped = False
-        sim.process(self._run(), name="portfolio-loop")
+        self._ticker = sim.every(interval, self._tick, at_start=True,
+                                 name="portfolio")
+        sim.keep_alive.append(self._work_waits)
 
     def evaluate(self) -> list[PolicyScore]:
         """Score every candidate on the current queue snapshot."""
@@ -131,16 +130,18 @@ class PortfolioScheduler:
         self.scheduler.queue_policy = winner
         return winner
 
-    def _run(self):
-        while not self._stopped:
-            if self.scheduler.queue:
-                self.select()
-                self.scheduler._poke()
-            yield self.sim.timeout(self.interval)
+    def _tick(self, _now: float) -> None:
+        if self.scheduler.queue:
+            self.select()
+            self.scheduler._poke()
+
+    def _work_waits(self) -> bool:
+        # Keep-alive: a new order may start a task the old one held back.
+        return not self._ticker.stopped and bool(self.scheduler.queue)
 
     def stop(self) -> None:
         """Stop the selection loop at the next tick."""
-        self._stopped = True
+        self._ticker.stop()
 
     @property
     def switches(self) -> int:

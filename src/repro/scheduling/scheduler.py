@@ -63,25 +63,29 @@ class _HedgeRace:
 
 
 class _HedgeWatch:
-    """The straggler timer of one watched task.
+    """The straggler timer of one attempt of a watched task.
 
-    The callback owner of the task's one hedge :class:`Timeout`; its
+    The callback owner of the attempt's one hedge :class:`Timeout`; its
     ``hedge-watch-<task>`` name lets profiles attribute the timeout to
-    scheduling.
+    scheduling.  ``token`` is the attempt's ``_running`` value, so a
+    watcher outliving its attempt (the task failed and was retried)
+    does not act on the retry.
     """
 
-    __slots__ = ("scheduler", "task")
+    __slots__ = ("scheduler", "task", "token")
 
-    def __init__(self, scheduler: "ClusterScheduler", task: Task) -> None:
+    def __init__(self, scheduler: "ClusterScheduler", task: Task,
+                 token: tuple) -> None:
         self.scheduler = scheduler
         self.task = task
+        self.token = token
 
     @property
     def name(self) -> str:
         return "hedge-watch-" + self.task.name
 
     def fire(self, _timeout: Event) -> None:
-        self.scheduler._hedge_due(self.task)
+        self.scheduler._hedge_due(self.task, self.token)
 
 
 class ClusterScheduler:
@@ -489,11 +493,12 @@ class ClusterScheduler:
             expected = machine.effective_runtime(task)
             delay = self.hedge_policy.hedge_delay(expected)
             Timeout(self.sim, delay).add_callback(
-                _HedgeWatch(self, task).fire)
+                _HedgeWatch(self, task, token).fire)
 
-    def _hedge_due(self, task: Task) -> None:
-        """Launch a speculative backup if ``task`` is still running."""
-        if (task not in self._running or task in self._hedges
+    def _hedge_due(self, task: Task, token: tuple) -> None:
+        """Launch a speculative backup if the attempt that started as
+        ``token`` is still running."""
+        if (self._running.get(task) is not token or task in self._hedges
                 or task.state is not TaskState.RUNNING):
             return
         backup = task.clone_for_speculation()

@@ -49,14 +49,13 @@ ExecuteFn = Callable[[Mapping[str, float]], None]
 
 
 class MAPEKLoop:
-    """A periodic Monitor-Analyze-Plan-Execute loop over Knowledge."""
+    """A Monitor-Analyze-Plan-Execute loop over Knowledge, run at
+    construction time and then every ``interval``."""
 
     def __init__(self, sim: Simulator, sensor: SensorFn, analyze: AnalyzeFn,
                  plan: PlanFn, execute: ExecuteFn,
                  interval: float = 10.0,
                  knowledge: Knowledge | None = None) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
         self.sensor = sensor
         self.analyze = analyze
@@ -65,8 +64,8 @@ class MAPEKLoop:
         self.interval = interval
         self.knowledge = knowledge or Knowledge()
         self.iterations = 0
-        self._stopped = False
-        sim.process(self._run(), name="mape-k")
+        self._ticker = sim.every(interval, lambda _now: self.step(),
+                                 at_start=True, name="mape-k")
 
     def step(self) -> Mapping[str, float]:
         """Run one full M-A-P-E iteration; returns the actions taken."""
@@ -78,14 +77,9 @@ class MAPEKLoop:
         self.iterations += 1
         return actions
 
-    def _run(self):
-        while not self._stopped:
-            self.step()
-            yield self.sim.timeout(self.interval)
-
     def stop(self) -> None:
         """Stop the loop at the next tick."""
-        self._stopped = True
+        self._ticker.stop()
 
 
 class AlertDrivenAdaptation:

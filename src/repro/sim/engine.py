@@ -15,13 +15,14 @@ same seed.
 from __future__ import annotations
 
 import heapq
+import math
 from time import perf_counter
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from .events import (NO_CALLBACKS, AllOf, AnyOf, Event, Interrupt,
                      SimulationError, Timeout)
 
-__all__ = ["Simulator", "Process"]
+__all__ = ["Simulator", "Process", "Ticker"]
 
 #: Type alias for the generators that drive processes.
 ProcessGenerator = Generator[Event, Any, Any]
@@ -114,6 +115,50 @@ class Process(Event):
         return f"<Process {self.name!r} alive={self.is_alive}>"
 
 
+class Ticker:
+    """The periodic tick :meth:`Simulator.every` returns.
+
+    Its start event takes the FIFO place of a started process's first
+    step.  Each tick's callback is bound to this object, so profiles
+    attribute the ticks by :attr:`name`.
+    """
+
+    __slots__ = ("sim", "interval", "fn", "until", "name", "stopped",
+                 "_due")
+
+    def __init__(self, sim: "Simulator", interval: float, fn: Any,
+                 until: float | None, name: str, at_start: bool) -> None:
+        self.sim = sim
+        self.interval = interval
+        self.fn = fn
+        self.until = until
+        self.name = name
+        self.stopped = False
+        self._due = at_start  # whether the next delivery runs ``fn``
+        self._post(0.0)
+
+    def _post(self, delay: float) -> None:
+        sim = self.sim
+        if self.until is None:
+            sim._daemons += 1
+        elif sim._now + delay > self.until + 1e-9:
+            return
+        Timeout(sim, delay).add_callback(self._fire)
+
+    def _fire(self, _timeout: Timeout) -> None:
+        if self.until is None:
+            self.sim._daemons -= 1
+        if self._due and not self.stopped:
+            self.fn(self.sim._now)
+        self._due = True
+        if not self.stopped:
+            self._post(self.interval)
+
+    def stop(self) -> None:
+        """End the ticks; a tick already queued is delivered as a no-op."""
+        self.stopped = True
+
+
 class Simulator:
     """A deterministic discrete-event simulator.
 
@@ -134,6 +179,11 @@ class Simulator:
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._active_process: Process | None = None
+        #: Queued daemon ticks (those of :meth:`every` with no ``until``).
+        self._daemons = 0
+        #: Predicates that hold an open-ended run open while only daemon
+        #: ticks are queued (a controller's: work waits for its tick).
+        self.keep_alive: list[Callable[[], bool]] = []
         #: Count of events processed so far; useful for budget guards.
         self.events_processed = 0
         #: Optional :class:`~repro.observability.observer.Observer`.
@@ -176,28 +226,22 @@ class Simulator:
         """Event that triggers when all of ``events`` have."""
         return AllOf(self, events)
 
-    def every(self, interval: float, fn, until: float | None = None,
-              name: str = "tick") -> Process:
+    def every(self, interval: float, fn: Callable[[float], Any],
+              until: float | None = None, name: str = "tick",
+              at_start: bool = False) -> Ticker:
         """Run ``fn(now)`` at ``now + k * interval`` for ``k = 1, 2, ...``.
 
-        The canonical driver for sim-time-scheduled evaluation ticks
-        (streaming telemetry, SLO checks, periodic samplers).  ``fn``
-        must be a plain callable — it runs synchronously inside the
-        tick event, so it may read state and schedule work but cannot
-        itself consume simulated time.  ``until`` bounds the process:
-        no tick is scheduled past it, so a periodic observer cannot
-        keep an otherwise-drained simulation alive.  Returns the tick
-        :class:`Process` (interrupt it to cancel early).
+        The one periodic primitive (controllers, streaming telemetry,
+        samplers).  ``fn`` runs synchronously inside the tick event, so
+        it may read state and schedule work but cannot itself consume
+        simulated time.  ``at_start`` adds the tick at ``k = 0``.  No
+        tick is scheduled past ``until``; without it the ticks are
+        daemons, which an open-ended run does not wait for (see
+        :meth:`idle`).  Returns the :class:`Ticker`; ``stop()`` ends it.
         """
         if not interval > 0:
             raise ValueError(f"interval must be positive, got {interval}")
-
-        def _ticks():
-            while until is None or self._now + interval <= until + 1e-9:
-                yield self.timeout(interval)
-                fn(self._now)
-
-        return self.process(_ticks(), name=name)
+        return Ticker(self, interval, fn, until, name, at_start)
 
     # ------------------------------------------------------------------
     # Scheduling and the main loop
@@ -209,6 +253,19 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
+
+    def next_work(self) -> float:
+        """:meth:`peek` for an open-ended run: ``inf`` once :meth:`idle`."""
+        if self._daemons and self.idle():
+            return float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def idle(self) -> bool:
+        """Whether only daemon ticks are queued and no :attr:`keep_alive`
+        predicate holds: where an open-ended run ends.  The ticks stay
+        queued, so an event posted later gets them delivered first."""
+        return (len(self._queue) <= self._daemons
+                and not any(alive() for alive in self.keep_alive))
 
     def step(self) -> None:
         """Process exactly one event."""
@@ -281,8 +338,10 @@ class Simulator:
         Args:
             stop: Exclusive upper edge of the window (``inf`` runs to
                 exhaustion).
-            bound: Optional inclusive cap (a scenario's ``duration`` /
-                ``max_time``); events past it stay queued.
+            bound: Optional inclusive cap (a scenario's ``duration``);
+                events past it stay queued.  Without it the window is
+                open-ended: it also ends once the simulator is
+                :meth:`idle`.
             before_step: Optional ``fn(event_time)`` called before each
                 step — the seam external telemetry drivers (streaming
                 SLO pipelines) use to advance with the clock.
@@ -294,11 +353,17 @@ class Simulator:
             raise ValueError(
                 f"cannot advance to stop={stop}, bound={bound}: "
                 f"NaN is not a time")
+        open_ended = bound is None
+        if not open_ended and bound < stop:
+            # ``when > bound`` is ``when >= nextafter(bound)``: one edge.
+            stop = math.nextafter(bound, math.inf)
         queue = self._queue
         processed = 0
         while queue:
             when = queue[0][0]
-            if when >= stop or (bound is not None and when > bound):
+            if when >= stop:
+                break
+            if self._daemons and open_ended and self.idle():
                 break
             if before_step is not None:
                 before_step(when)
@@ -336,13 +401,14 @@ class Simulator:
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, until a time, or until an event.
 
-        ``until`` may be ``None`` (run to exhaustion), a number (run up to
-        and including that time, then set the clock to it), or an
-        :class:`Event` (run until it is processed, returning its value
-        or raising its exception).  Time-bounded runs go through
+        ``until`` may be ``None`` (run until the queue drains or the
+        simulator is :meth:`idle`), a number (run up to and including
+        that time, daemon ticks included, then set the clock to it), or
+        an :class:`Event` (run until it is processed, returning its
+        value or raising its exception).  Time-bounded runs go through
         :meth:`advance_until`; every event is delivered by :meth:`step`.
         """
-        stop_time = float("inf")
+        stop_time = None
         if until is not None and not isinstance(until, Event):
             stop_time = float(until)
             if not stop_time >= self._now:
@@ -364,7 +430,7 @@ class Simulator:
                     raise until.value
                 return until.value
             self.advance_until(float("inf"), bound=stop_time)
-            if stop_time != float("inf"):
+            if stop_time is not None and stop_time != float("inf"):
                 self._now = stop_time
             return None
         finally:

@@ -41,7 +41,7 @@ gallery spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenario.result import ScenarioResult
@@ -150,6 +150,19 @@ def _task_from_payload(payload: Mapping[str, Any], submit_time: float):
 # ---------------------------------------------------------------------------
 # One shard
 # ---------------------------------------------------------------------------
+class _Delivery:
+    """A cross-shard delivery, named so profiles file it under sharding."""
+
+    __slots__ = ("deliver", "message")
+    name = "shard-delivery"
+
+    def __init__(self, deliver: Callable[[Any], None], message: Any) -> None:
+        self.deliver, self.message = deliver, message
+
+    def fire(self, _event: Any) -> None:
+        self.deliver(self.message)
+
+
 class ShardHarness:
     """One region's event loop plus its cross-shard edges.
 
@@ -236,13 +249,10 @@ class ShardHarness:
     # -- inbound --------------------------------------------------------
     def inject(self, message: "RemoteSubmit | CompletionAck") -> None:
         """Schedule a cross-shard message as a local future event."""
-        sim = self.runtime.sim
-        if isinstance(message, RemoteSubmit):
-            sim.inject(message.deliver_time,
-                       lambda _event, m=message: self._deliver_submit(m))
-        else:
-            sim.inject(message.deliver_time,
-                       lambda _event, m=message: self._deliver_ack(m))
+        deliver = (self._deliver_submit if isinstance(message, RemoteSubmit)
+                   else self._deliver_ack)
+        self.runtime.sim.inject(message.deliver_time,
+                                _Delivery(deliver, message).fire)
 
     def _deliver_submit(self, message: RemoteSubmit) -> None:
         task = _task_from_payload(message.task,
@@ -257,8 +267,12 @@ class ShardHarness:
 
     # -- advancement ----------------------------------------------------
     def peek(self) -> float:
-        """The shard's next local event time (``inf`` when drained)."""
-        return self.runtime.sim.peek()
+        """The shard's next local event time (``inf`` when drained, or
+        idle without a ``duration``, as its :meth:`advance` would stop)."""
+        runtime = self.runtime
+        if runtime.duration is None:
+            return runtime.sim.next_work()
+        return runtime.sim.peek()
 
     def advance(self, stop: float) -> int:
         """Process local events strictly before the window end."""
@@ -536,7 +550,7 @@ class ShardedScenarioRuntime:
             self.epochs += 1
 
     def finalize(self) -> None:
-        """Stop every shard's periodic processes (idempotent)."""
+        """Stop every shard's scheduler and controllers (idempotent)."""
         for name in self._set.order:
             self._set.harnesses[name].runtime.finalize()
 

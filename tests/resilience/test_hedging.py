@@ -11,6 +11,7 @@ from repro.datacenter import (
 )
 from repro.resilience import HedgePolicy
 from repro.scheduling import ClusterScheduler
+from repro.selfaware import RecoveryPlanner
 from repro.sim import Simulator
 from repro.workload import Task, TaskState
 
@@ -101,6 +102,31 @@ class TestHedgedExecution:
         assert task.finish_time == pytest.approx(30.0)
         assert scheduler.hedge_rescues == 1
         assert scheduler.completed == [task]
+
+    def test_stale_watcher_does_not_hedge_the_retry(self):
+        # Attempt 1 starts on the fast machine at t=0; its watcher is
+        # due at t=15.  The machine dies at t=2 and attempt 2 runs on
+        # the slow machine from t=2 to t=22 under its own watcher (due
+        # at t=32).  Attempt 1's watcher must not hedge attempt 2.
+        fast = Machine("fast", MachineSpec(cores=1, speed=1.0))
+        slow = Machine("slow", MachineSpec(cores=1, speed=0.5))
+        sim = Simulator()
+        dc = Datacenter(sim, [Cluster("c", [Rack("r0", [fast, slow])])])
+        scheduler = ClusterScheduler(
+            sim, dc, hedge_policy=HedgePolicy(delay_factor=1.5))
+        RecoveryPlanner(scheduler, max_retries=3)
+        task = Task(runtime=10.0, cores=1)
+        scheduler.submit(task)
+
+        def kill_fast():
+            yield sim.timeout(2.0)
+            dc.fail_machine(fast)
+
+        sim.process(kill_fast())
+        sim.run()
+        assert task.state is TaskState.FINISHED
+        assert task.finish_time == pytest.approx(22.0)
+        assert scheduler.hedges_launched == 0
 
     def test_short_tasks_are_not_hedged(self):
         sim, dc, scheduler = build(HedgePolicy(delay_factor=0.2,

@@ -50,6 +50,13 @@ BAD_SPECS = [
          {"kind": "uniform-task", "params": {"n_tasks": 3}}]}}},
      SpecError, "workload.params.parts[0].kind names an unknown workload "
                 "kind 'uniform-task'"),
+    ("wfformat-no-source", "chaos_baseline.json",
+     {"workload": {"kind": "wfformat", "params": {}}}, SpecError,
+     "workload.params needs exactly one of document and path"),
+    ("wfformat-two-sources", "chaos_baseline.json",
+     {"workload": {"kind": "wfformat", "params": {
+         "document": {}, "path": "montage.wfformat.json"}}}, SpecError,
+     "workload.params needs exactly one of document and path"),
     # Well-typed but out of range: refused by the classes' own checks.
     ("autoscaler-interval-nan", "chaos_baseline.json",
      {"autoscaler": {"policy": "react", "interval": NAN}}, ValueError,

@@ -225,8 +225,9 @@ def test_epoch_and_partition_invariance(partition, epoch_fraction):
 # ---------------------------------------------------------------------------
 
 #: Gallery specs for the oracle, with the overrides each run applies.
-#: The autoscaled run needs a ``duration``: without one its controller
-#: would keep ticking to ``max_time``.
+#: ``autoscaled-open`` declares no ``duration`` even in 2-second
+#: epochs: its shard must read as drained once only the controller's
+#: daemon ticks remain, or the epoch loop would never end.
 ORACLE_SPECS = {
     "telemetry": ("chaos_slo.json", {}),
     "workflow": ("montage_small_scenario.json", {}),
@@ -234,6 +235,10 @@ ORACLE_SPECS = {
         "scheduler.backfilling": True,
         "autoscaler": {"policy": "react", "interval": 10.0},
         "duration": 150.0}),
+    "autoscaled-open": ("chaos_baseline.json", {
+        "scheduler.backfilling": True,
+        "autoscaler": {"policy": "react", "interval": 10.0},
+        "duration": None}),
 }
 
 
@@ -254,11 +259,13 @@ def test_one_shard_equals_no_shards(case, epoch):
     overrides = dict(overrides)
     if epoch is not None:
         plan["epoch"] = epoch
-        overrides["duration"] = 150.0
+        overrides.setdefault("duration", 150.0)
     sharded = spec.override({**overrides, "shards": plan})
     result = sharded.run()
     plain = sharded.shard_subspec(sharded.shards.shards[0]).run()
     assert result.shards["by_shard"]["solo"]["result"] == plain.to_dict()
+    if sharded.duration is None:
+        assert result.sim_time < 1000.0  # ended with the work
 
 
 # ---------------------------------------------------------------------------

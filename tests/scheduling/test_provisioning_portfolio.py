@@ -1,8 +1,9 @@
-"""Unit tests for provisioning policies, the provisioner, portfolio
-scheduling, and the Schopf-style reference pipeline."""
+"""Unit tests for provisioning policies, the provisioning controller,
+portfolio scheduling, and the Schopf-style reference pipeline."""
 
 import pytest
 
+from repro.autoscaling import AutoscalerInput, AutoscalingController
 from repro.datacenter import Datacenter, Machine, MachineSpec, homogeneous_cluster
 from repro.scheduling import (
     FCFS,
@@ -10,8 +11,6 @@ from repro.scheduling import (
     ClusterScheduler,
     OnDemandProvisioning,
     PortfolioScheduler,
-    Provisioner,
-    ProvisioningState,
     ReservedPlusOnDemand,
     SchedulingPipeline,
     SchedulingStage,
@@ -23,16 +22,16 @@ from repro.workload import Task
 
 
 def make_state(queued_cores=0, running_cores=0, total=10, cores_each=4):
-    return ProvisioningState(
-        time=0.0, queued_tasks=queued_cores, queued_cores=queued_cores,
-        running_cores=running_cores, leased_machines=total,
-        total_machines=total, cores_per_machine=cores_each)
+    return AutoscalerInput(
+        time=0.0, queued_cores=queued_cores, running_cores=running_cores,
+        eligible_tasks=queued_cores, soon_eligible_tasks=0, machines=total,
+        cores_per_machine=cores_each, max_machines=total)
 
 
 class TestProvisioningPolicies:
     def test_static_clamps_to_total(self):
-        assert StaticProvisioning(20).target_machines(make_state()) == 10
-        assert StaticProvisioning(3).target_machines(make_state()) == 3
+        assert StaticProvisioning(20).decide(make_state()) == 10
+        assert StaticProvisioning(3).decide(make_state()) == 3
 
     def test_static_validation(self):
         with pytest.raises(ValueError):
@@ -40,15 +39,15 @@ class TestProvisioningPolicies:
 
     def test_on_demand_scales_with_demand(self):
         policy = OnDemandProvisioning(min_machines=1, headroom=0.0)
-        assert policy.target_machines(make_state(queued_cores=0)) == 1
-        assert policy.target_machines(make_state(queued_cores=8)) == 2
-        assert policy.target_machines(
+        assert policy.decide(make_state(queued_cores=0)) == 1
+        assert policy.decide(make_state(queued_cores=8)) == 2
+        assert policy.decide(
             make_state(queued_cores=8, running_cores=8)) == 4
 
     def test_on_demand_headroom(self):
         policy = OnDemandProvisioning(min_machines=0, headroom=0.5)
         # 8 cores * 1.5 = 12 -> 3 machines of 4 cores.
-        assert policy.target_machines(make_state(queued_cores=8)) == 3
+        assert policy.decide(make_state(queued_cores=8)) == 3
 
     def test_on_demand_validation(self):
         with pytest.raises(ValueError):
@@ -58,8 +57,8 @@ class TestProvisioningPolicies:
 
     def test_reserved_plus_on_demand_floor(self):
         policy = ReservedPlusOnDemand(reserved=4)
-        assert policy.target_machines(make_state(queued_cores=0)) == 4
-        assert policy.target_machines(make_state(queued_cores=40)) == 10
+        assert policy.decide(make_state(queued_cores=0)) == 4
+        assert policy.decide(make_state(queued_cores=40)) == 10
 
     def test_reserved_validation(self):
         with pytest.raises(ValueError):
@@ -67,13 +66,15 @@ class TestProvisioningPolicies:
 
 
 class TestProvisioner:
-    def build(self, policy, n_machines=4, **kwargs):
+    """Provisioning policies under the one lease controller."""
+
+    def build(self, policy, n_machines=4):
         sim = Simulator()
         dc = Datacenter(sim, [homogeneous_cluster(
             "c", n_machines, MachineSpec(cores=4, memory=1e9))])
         scheduler = ClusterScheduler(sim, dc)
-        provisioner = Provisioner(sim, dc, scheduler, policy,
-                                  interval=5.0, **kwargs)
+        provisioner = AutoscalingController(sim, dc, scheduler, policy,
+                                            interval=5.0)
         return sim, dc, scheduler, provisioner
 
     def test_interval_validation(self):
@@ -81,11 +82,12 @@ class TestProvisioner:
         dc = Datacenter(sim, [homogeneous_cluster("c", 1)])
         scheduler = ClusterScheduler(sim, dc)
         with pytest.raises(ValueError):
-            Provisioner(sim, dc, scheduler, StaticProvisioning(1),
-                        interval=0.0)
+            AutoscalingController(sim, dc, scheduler, StaticProvisioning(1),
+                                  interval=0.0)
+        provisioner = AutoscalingController(sim, dc, scheduler,
+                                            StaticProvisioning(1))
         with pytest.raises(ValueError):
-            Provisioner(sim, dc, scheduler, StaticProvisioning(1),
-                        on_demand_premium=0.5)
+            provisioner.total_cost(on_demand_premium=0.5)
 
     def test_on_demand_releases_idle_machines(self):
         sim, dc, scheduler, provisioner = self.build(
@@ -114,19 +116,19 @@ class TestProvisioner:
         assert sum(1 for m in dc.machines() if m.available) == 2
 
     def test_cost_accumulates_over_time(self):
-        sim, dc, scheduler, provisioner = self.build(
-            StaticProvisioning(4), reserved_machines=4)
+        sim, dc, scheduler, provisioner = self.build(StaticProvisioning(4))
         sim.run(until=3600.0)  # one hour, 4 reserved machines at $1/h
         provisioner.stop()
-        assert provisioner.total_cost() == pytest.approx(4.0, rel=0.05)
+        assert provisioner.total_cost(reserved_machines=4) == \
+            pytest.approx(4.0, rel=0.05)
 
     def test_on_demand_premium_raises_cost(self):
-        sim, dc, scheduler, provisioner = self.build(
-            StaticProvisioning(4), reserved_machines=0,
-            on_demand_premium=2.5)
+        sim, dc, scheduler, provisioner = self.build(StaticProvisioning(4))
         sim.run(until=3600.0)
         provisioner.stop()
-        assert provisioner.total_cost() == pytest.approx(10.0, rel=0.05)
+        assert provisioner.total_cost(reserved_machines=0,
+                                      on_demand_premium=2.5) == \
+            pytest.approx(10.0, rel=0.05)
 
     def test_mean_leased(self):
         sim, dc, scheduler, provisioner = self.build(StaticProvisioning(2))

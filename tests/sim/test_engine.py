@@ -349,3 +349,98 @@ def test_failed_process_raises_on_every_run_until_it():
     # its exception again, not hand the exception back as a value.
     with pytest.raises(RuntimeError, match="boom"):
         sim.run(until=process)
+
+
+# ---------------------------------------------------------------------------
+# Periodic ticks: every() and the daemon rule
+# ---------------------------------------------------------------------------
+
+
+def test_every_until_ticks_to_its_bound():
+    sim = Simulator()
+    ticks = []
+    sim.every(2.0, ticks.append, until=7.0)
+    sim.run()
+    assert ticks == [2.0, 4.0, 6.0]
+    assert sim.now == 6.0
+    assert sim.peek() == float("inf")
+
+
+def test_every_at_start_ticks_in_a_zero_delay_event():
+    sim = Simulator()
+    ticks = []
+    sim.every(5.0, ticks.append, until=12.0, at_start=True)
+    assert ticks == []
+    sim.run()
+    assert ticks == [0.0, 5.0, 10.0]
+
+
+def test_stopped_ticker_ticks_no_more():
+    sim = Simulator()
+    ticks = []
+    ticker = sim.every(1.0, ticks.append)
+    sim.run(until=2.5)
+    ticker.stop()
+    sim.run(until=10.0)
+    assert ticks == [1.0, 2.0]
+
+
+def test_run_ends_while_untimed_ticks_are_queued():
+    sim = Simulator()
+    ticks = []
+    sim.every(5.0, ticks.append)
+
+    def work(sim):
+        yield sim.timeout(12.0)
+
+    sim.process(work(sim))
+    sim.run()
+    # The work ended at t=12; the tick due at t=15 is a daemon and
+    # stays queued instead of ticking on forever.
+    assert ticks == [5.0, 10.0]
+    assert sim.now == 12.0
+    assert sim.peek() == 15.0
+    assert sim.idle()
+
+
+def test_run_until_delivers_untimed_ticks():
+    sim = Simulator()
+    ticks = []
+    sim.every(5.0, ticks.append)
+    sim.run(until=22.0)
+    assert ticks == [5.0, 10.0, 15.0, 20.0]
+    assert sim.now == 22.0
+    # A bounded window delivers them too; an open-ended one does not.
+    assert sim.advance_until(float("inf"), bound=25.0) == 1
+    assert sim.advance_until(float("inf")) == 0
+    assert ticks[-1] == 25.0
+
+
+def test_deferred_tick_is_delivered_in_time_order_behind_later_work():
+    sim = Simulator()
+    seen = []
+    sim.every(5.0, lambda now: seen.append(("tick", now)))
+    sim.run()
+    assert seen == [] and sim.now == 0.0
+    # Work queued behind the deferred ticks gets them delivered first.
+    sim.inject(12.0, lambda event: seen.append(("work", sim.now)))
+    sim.run()
+    assert seen == [("tick", 5.0), ("tick", 10.0), ("work", 12.0)]
+    assert sim.now == 12.0
+
+
+def test_keep_alive_delivers_ticks_while_it_holds():
+    sim = Simulator()
+    waiting = [True]
+    ticks = []
+
+    def tick(now):
+        ticks.append(now)
+        if now >= 15.0:
+            waiting[0] = False
+
+    sim.every(5.0, tick)
+    sim.keep_alive.append(lambda: waiting[0])
+    sim.run()
+    assert ticks == [5.0, 10.0, 15.0]
+    assert sim.now == 15.0
