@@ -7,8 +7,8 @@ datacenter substrate with dual-problem scheduling, autoscaling with
 SPEC elasticity metrics, correlated-failure models, the Figure 1-5
 reference architectures (big data, technology lineage, datacenter,
 gaming, FaaS), Graphalytics-style graph processing, the PSD2 banking
-scenario, Ecosystem Navigation, the §3.5 problem-solving toolbox, and
-the §3.2 evolution dynamics.
+scenario, Ecosystem Navigation, the §3.5 queueing models, and the §3.2
+evolution dynamics.
 
 Subpackages are imported explicitly (``import repro.datacenter``); the
 top level re-exports only the ecosystem core, which every scenario

@@ -31,22 +31,12 @@ from .profession import (
     UnlicensedOperationError,
     require_license,
 )
-from .properties import (
-    SuperFlexibility,
-    merge_ecosystems,
-    split_ecosystem,
-    super_scalability,
-)
 from .usecases import USE_CASES, UseCase, UseCaseDirection, UseCaseRegistry
 
 __all__ = [
     "System",
     "Ecosystem",
     "CollectiveFunction",
-    "SuperFlexibility",
-    "super_scalability",
-    "merge_ecosystems",
-    "split_ecosystem",
     "NFRKind",
     "Direction",
     "Requirement",

@@ -61,7 +61,7 @@ CHALLENGES: tuple[Challenge, ...] = (
               "Make use of adaptation approaches, from simple feedback loops "
               "to self-awareness, to respond automatically to anomalies and "
               "to changes in requirements.",
-              ("repro.selfaware.feedback", "repro.selfaware.adaptation")),
+              ("repro.autoscaling.controller", "repro.selfaware.adaptation")),
     Challenge("C7", "Systems", "Scheduling, the dual problem", ("P4", "P5"),
               "Scheduling, consisting of both provisioning and allocation, on "
               "behalf of different, possibly delegating stakeholders.",

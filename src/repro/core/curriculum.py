@@ -35,14 +35,13 @@ CURRICULUM_ADDITIONS: tuple[CurriculumAddition, ...] = (
         "heuristic search, evolutionary computing, queueing models, "
         "performance models",
         "all students",
-        ("repro.solvers.search", "repro.solvers.evolutionary",
-         "repro.solvers.queueing", "repro.solvers.roofline")),
+        ("repro.solvers.queueing",)),
     CurriculumAddition(
         "ii", "Systems Thinking",
         "elements of Complex Adaptive Systems and Control Theory: "
         "analyzing ecosystems to find laws, synthesizing and tuning them",
         "all students",
-        ("repro.core.entity", "repro.selfaware.feedback",
+        ("repro.core.entity", "repro.autoscaling.controller",
          "repro.evolution.model")),
     CurriculumAddition(
         "iii", "Design Thinking",
@@ -61,8 +60,7 @@ CURRICULUM_ADDITIONS: tuple[CurriculumAddition, ...] = (
         "basics of experiment design with software artifacts, "
         "systematic literature surveys, user studies",
         "students from traditional curricula",
-        ("repro.sim.rng", "repro.graphproc.graphalytics",
-         "repro.graphproc.calibration")),
+        ("repro.sim.rng", "repro.graphproc.graphalytics")),
 )
 
 

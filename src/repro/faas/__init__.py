@@ -20,7 +20,7 @@ from .composition import (
     sequence,
     step,
 )
-from .platform import FaaSPlatform, FunctionSpec, Invocation, ResilientInvoker
+from .platform import FaaSPlatform, FunctionSpec, Invocation
 
 __all__ = [
     "FaaSLayer",
@@ -31,7 +31,6 @@ __all__ = [
     "FunctionSpec",
     "Invocation",
     "FaaSPlatform",
-    "ResilientInvoker",
     "Composition",
     "step",
     "sequence",

@@ -18,7 +18,7 @@ from typing import Any
 
 from ..sim import Event, Monitor, Resource, Simulator
 
-__all__ = ["FunctionSpec", "Invocation", "FaaSPlatform", "ResilientInvoker"]
+__all__ = ["FunctionSpec", "Invocation", "FaaSPlatform"]
 
 
 @dataclass(frozen=True)
@@ -230,122 +230,3 @@ class FaaSPlatform:
             "billed_dollars": self.billed_dollars,
         }
 
-
-class ResilientInvoker:
-    """Circuit breaker + deadline + fallback around platform invocations.
-
-    The paper's C17 asks for graceful degradation: when the platform is
-    saturated or failing, a caller should get a cheap degraded answer
-    quickly instead of queueing behind a dying dependency.  The invoker
-    implements the standard trio:
-
-    - **deadline**: an invocation that has not completed within
-      ``deadline`` sim-seconds is cancelled and counted as a timeout;
-    - **circuit breaker**: consecutive timeouts open the (duck-typed)
-      breaker, after which calls are rejected *without* touching the
-      platform until it half-opens again;
-    - **fallback**: rejected and timed-out calls are served by a
-      degraded local path taking ``fallback_runtime`` seconds.
-
-    Args:
-        platform: The wrapped platform.
-        breaker: Any object with ``allow`` / ``record_success`` /
-            ``record_failure`` — typically a
-            :class:`~repro.resilience.breakers.CircuitBreaker`.
-        deadline: Per-invocation time bound in sim-seconds (or an
-            object with a ``timeout`` attribute); ``None`` disables it.
-        fallback_runtime: Service time of the degraded path.
-    """
-
-    def __init__(self, platform: FaaSPlatform, breaker: Any = None,
-                 deadline: Any = None,
-                 fallback_runtime: float = 0.0) -> None:
-        if deadline is not None:
-            deadline = getattr(deadline, "timeout", deadline)
-            if deadline <= 0:
-                raise ValueError(f"deadline must be positive, got {deadline}")
-        if fallback_runtime < 0:
-            raise ValueError("fallback_runtime must be non-negative")
-        self.platform = platform
-        self.sim = platform.sim
-        self.breaker = breaker
-        self.deadline = deadline
-        self.fallback_runtime = fallback_runtime
-        self.successes = 0
-        self.timeouts = 0
-        self.rejections = 0
-        self.fallbacks: list[Invocation] = []
-
-    def invoke(self, name: str, runtime: float | None = None) -> Event:
-        """Guarded invocation; the process yields an :class:`Invocation`.
-
-        The result is either the platform's record or a fallback record
-        with ``fallback=True`` (and ``timed_out=True`` when the primary
-        call was cancelled at the deadline).
-        """
-        return self.sim.process(self._invoke(name, runtime),
-                                name=f"guarded-{name}")
-
-    def _invoke(self, name: str, runtime: float | None):
-        if self.breaker is not None and not self.breaker.allow():
-            self.rejections += 1
-            if self.sim.observer is not None:
-                self.sim.observer.metrics.counter("faas.rejections").inc()
-            fallback = yield from self._fallback(name, timed_out=False)
-            return fallback
-        call = self.platform.invoke(name, runtime)
-        if self.deadline is None:
-            record = yield call
-            self._record_success()
-            return record
-        expiry = self.sim.timeout(self.deadline)
-        yield self.sim.any_of([call, expiry])
-        if call.triggered and call.ok:
-            self._record_success()
-            return call.value
-        # Deadline first: cancel the in-flight call and degrade.  The
-        # cancelled process fails with Interrupt; pre-defuse it so the
-        # unawaited failure does not crash the simulation.
-        self.timeouts += 1
-        if self.sim.observer is not None:
-            self.sim.observer.metrics.counter("faas.timeouts").inc()
-        if self.breaker is not None:
-            self.breaker.record_failure()
-        call.add_callback(lambda event: setattr(event, "defused", True))
-        if call.is_alive:
-            call.interrupt("deadline-exceeded")
-        fallback = yield from self._fallback(name, timed_out=True)
-        return fallback
-
-    def _record_success(self) -> None:
-        self.successes += 1
-        if self.breaker is not None:
-            self.breaker.record_success()
-
-    def _fallback(self, name: str, timed_out: bool):
-        record = Invocation(function=name, submit_time=self.sim.now,
-                            fallback=True, timed_out=timed_out)
-        if self.fallback_runtime > 0:
-            yield self.sim.timeout(self.fallback_runtime)
-        record.start_time = record.submit_time
-        record.finish_time = self.sim.now
-        record.result = record
-        self.fallbacks.append(record)
-        observer = self.sim.observer
-        if observer is not None:
-            observer.metrics.counter("faas.fallbacks").inc()
-            observer.tracer.instant("fallback " + name, category="faas",
-                                    attrs={"function": name,
-                                           "timed_out": timed_out})
-        return record
-
-    def statistics(self) -> dict[str, float]:
-        """Success / timeout / rejection counters and fallback share."""
-        total = self.successes + self.timeouts + self.rejections
-        return {
-            "calls": float(total),
-            "successes": float(self.successes),
-            "timeouts": float(self.timeouts),
-            "rejections": float(self.rejections),
-            "fallback_fraction": (len(self.fallbacks) / total) if total else 0.0,
-        }

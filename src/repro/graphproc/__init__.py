@@ -19,14 +19,7 @@ from .graphalytics import (
     Workload,
     default_workload,
 )
-from .calibration import Observation, calibrate_platform, validation_report
 from .csr import CSRGraph, bfs_csr, pagerank_csr
-from .chokepoints import (
-    CompressionReport,
-    CostBreakdown,
-    choke_point_analysis,
-    compress_experiments,
-)
 from .platforms import PLATFORMS, PlatformModel
 
 __all__ = [
@@ -48,13 +41,6 @@ __all__ = [
     "Workload",
     "GraphalyticsHarness",
     "default_workload",
-    "Observation",
-    "calibrate_platform",
-    "validation_report",
-    "CostBreakdown",
-    "choke_point_analysis",
-    "CompressionReport",
-    "compress_experiments",
     "CSRGraph",
     "bfs_csr",
     "pagerank_csr",

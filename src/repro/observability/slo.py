@@ -323,8 +323,7 @@ class SLOEngine:
 
     Subscribe adaptation logic via :attr:`on_alert` — e.g.
     :meth:`repro.autoscaling.controller.AutoscalingController.respond_to_alerts`
-    or :class:`repro.selfaware.feedback.AlertDrivenAdaptation` — to
-    close the paper's monitoring → analysis → action loop.
+    — to close the paper's monitoring → analysis → action loop.
     """
 
     def __init__(self, pipeline: StreamingPipeline,

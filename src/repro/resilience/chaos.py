@@ -204,60 +204,26 @@ class ChaosExperiment:
         self.slos = tuple(slos) if slos else ()
         self.slo_rules = tuple(slo_rules) if slo_rules else None
         self.telemetry_interval = telemetry_interval
-        #: When True, ``workload`` takes ``(streams, datacenter)`` —
-        #: the spec-builder signature — instead of ``(streams)``.
-        self.workload_takes_datacenter = False
 
-    # ------------------------------------------------------------------
-    # Construction from a declarative spec
-    # ------------------------------------------------------------------
     @classmethod
     def from_spec(cls, spec: Any) -> "ChaosExperiment":
-        """A chaos experiment resolved from a declarative scenario spec.
+        """A chaos experiment that runs a declarative scenario spec.
 
-        ``spec`` is a :class:`~repro.scenario.spec.ScenarioSpec` with a
-        single-cluster topology; its workload/failure kinds, resilience
-        sections, and SLO declarations map onto the experiment's
-        constructor arguments.  The returned experiment runs through
-        the same composition root as ``spec.run()``, so both paths
-        yield identical reports for the same spec.
+        ``spec`` is an unsharded
+        :class:`~repro.scenario.spec.ScenarioSpec` with a single-cluster
+        topology.  The experiment composes it with
+        :func:`~repro.scenario.runtime.build_runtime`, the path
+        ``spec.run()`` takes, so every section of the spec applies (its
+        scheduler, autoscaler, ``duration``, and its retries or their
+        absence) and the report's :meth:`~ChaosReport.summary` equals
+        ``spec.run().chaos["summary"]``.
         """
-        if len(spec.topology.clusters) != 1:
-            raise ValueError("ChaosExperiment runs a single cluster; "
+        if len(spec.topology.clusters) != 1 or spec.shards is not None:
+            raise ValueError("ChaosExperiment runs one unsharded cluster; "
                              f"the spec declares "
-                             f"{len(spec.topology.clusters)}")
-
-        def cluster() -> Cluster:
-            return spec.topology.clusters[0].build()
-
-        experiment = cls(
-            cluster=cluster,
-            workload=spec.workload.build,
-            failures=(spec.failures.build if spec.failures is not None
-                      else lambda streams, racks, horizon: []),
-            seed=spec.seed,
-            horizon=spec.horizon,
-            retry_policy=(spec.retries.build() if spec.retries is not None
-                          else None),
-            checkpoint_policy=(spec.checkpoints.build()
-                               if spec.checkpoints is not None else None),
-            hedge_policy=(spec.hedging.build()
-                          if spec.hedging is not None else None),
-            admission=(spec.shedding.build()
-                       if spec.shedding is not None else None),
-            availability_slo=spec.availability_slo,
-            injection_jitter=spec.injection_jitter,
-            max_time=spec.max_time,
-            slos=(spec.slos.build_objectives()
-                  if spec.slos is not None else None),
-            slo_rules=(spec.slos.build_rules()
-                       if spec.slos is not None else None),
-            telemetry_interval=(spec.slos.telemetry_interval
-                                if spec.slos is not None else 5.0))
-        # Spec workload builders take ``(streams, datacenter)``; the
-        # classic callable interface takes ``(streams)`` only.
-        experiment.workload_takes_datacenter = True
-        return experiment
+                             f"{len(spec.topology.clusters)} clusters"
+                             f"{' and shards' if spec.shards else ''}")
+        return _SpecExperiment(spec)
 
     # ------------------------------------------------------------------
     # Execution
@@ -266,9 +232,11 @@ class ChaosExperiment:
         """Execute the experiment once and report.
 
         Composition and the drive loop are delegated to the scenario
-        kernel (:func:`repro.scenario.runtime.compose`) — the chaos
-        harness is a thin resilience-flavored view over the same
-        composition root every other entry point uses.
+        kernel (:func:`repro.scenario.runtime.compose`, or
+        :func:`~repro.scenario.runtime.build_runtime` for an experiment
+        from :meth:`from_spec`) — the chaos harness is a thin
+        resilience-flavored view over the same composition root every
+        other entry point uses.
 
         Args:
             observer: Optional
@@ -281,22 +249,31 @@ class ChaosExperiment:
                 report by hand.  Observability never perturbs the run:
                 the same seed yields the identical report either way.
         """
+        runtime = self._compose(observer)
+        runtime.drive()
+        runtime.finalize()
+        report = runtime.chaos_report()
+        if observer is not None:
+            for key, value in report.summary().items():
+                observer.metrics.gauge(f"chaos.{key}").set(value)
+            # The run's simulator is private; release the observer so
+            # its collected data can outlive the experiment (and the
+            # observer itself could be attached elsewhere).
+            observer.detach()
+        return report
+
+    def _compose(self, observer: Any) -> Any:
+        """This experiment's scenario runtime, ready to drive."""
         from ..scenario.runtime import compose
         if self.slos and observer is None:
             raise ValueError(
                 "SLO grading reads the metrics registry; pass an observer "
                 "to run() when the experiment declares slos")
         workload = self.workload
-        if getattr(self, "workload_takes_datacenter", False):
-            workload2 = workload
-        else:
-            def workload2(streams: RandomStreams,
-                          datacenter: Datacenter) -> Sequence[Task]:
-                return workload(streams)
-        runtime = compose(
+        return compose(
             seed=self.seed,
             clusters=lambda: [self.cluster()],
-            workload=workload2,
+            workload=lambda streams, datacenter: workload(streams),
             failures=self.failures,
             observer=observer,
             slos=self.slos,
@@ -311,17 +288,21 @@ class ChaosExperiment:
             injection_jitter=self.injection_jitter,
             availability_slo=self.availability_slo,
             max_time=self.max_time)
-        runtime.drive()
-        runtime.finalize()
-        report = runtime.chaos_report()
-        if observer is not None:
-            for key, value in report.summary().items():
-                observer.metrics.gauge(f"chaos.{key}").set(value)
-            # The run's simulator is private; release the observer so
-            # its collected data can outlive the experiment (and the
-            # observer itself could be attached elsewhere).
-            observer.detach()
-        return report
+
+
+class _SpecExperiment(ChaosExperiment):
+    """What :meth:`ChaosExperiment.from_spec` returns.
+
+    The spec is the whole description of the run, so none of the
+    callable constructor's fields apply.
+    """
+
+    def __init__(self, spec: Any) -> None:
+        self.spec = spec
+
+    def _compose(self, observer: Any) -> Any:
+        from ..scenario.runtime import build_runtime
+        return build_runtime(self.spec, observer=observer)
 
 
 # ---------------------------------------------------------------------------

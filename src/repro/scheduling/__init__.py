@@ -51,7 +51,6 @@ from .reference import (
     SchedulingStage,
 )
 from .scheduler import ClusterScheduler
-from .social import GroupAwarePolicy, group_response_times
 from .workflow_engine import WorkflowEngine, WorkflowFailed
 
 __all__ = [
@@ -77,8 +76,6 @@ __all__ = [
     "incremental_sort_key",
     "vectorized_placement",
     "ClusterScheduler",
-    "GroupAwarePolicy",
-    "group_response_times",
     "Site",
     "JobRouter",
     "RandomRouter",

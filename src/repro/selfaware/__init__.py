@@ -1,8 +1,10 @@
-"""Self-awareness substrate (S7): feedback, adaptation, anomaly handling.
+"""Self-awareness substrate (S7): the adaptation taxonomy and recovery.
 
-MAPE-K loops and PID control ([17], C6), the 10-problem / 7-approach
-adaptation taxonomy of the paper's survey [95], streaming anomaly
-detectors, and retry-based recovery planning.
+The 10-problem / 7-approach adaptation taxonomy of the paper's survey
+[95] (C6), with the repro component that implements each approach
+class, and retry-based recovery planning.  The feedback loops C6 calls
+for run in :mod:`repro.autoscaling`: the autoscaling controller's tick
+loop and its alert-driven response.
 """
 
 from .adaptation import (
@@ -13,22 +15,14 @@ from .adaptation import (
     approaches_for,
     problems_addressed_by,
 )
-from .anomaly import RecoveryPlanner, ThresholdDetector, ZScoreDetector
-from .feedback import (AlertDrivenAdaptation, Knowledge, MAPEKLoop,
-                       PIDController)
+from .anomaly import RecoveryPlanner
 
 __all__ = [
-    "Knowledge",
-    "MAPEKLoop",
-    "PIDController",
-    "AlertDrivenAdaptation",
     "AdaptationProblem",
     "AdaptationApproach",
     "APPROACH_IMPLEMENTATIONS",
     "APPLICABILITY",
     "approaches_for",
     "problems_addressed_by",
-    "ZScoreDetector",
-    "ThresholdDetector",
     "RecoveryPlanner",
 ]

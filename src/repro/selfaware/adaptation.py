@@ -47,7 +47,7 @@ class AdaptationApproach(enum.Enum):
 #: Approach class -> repro component that implements it (where built).
 APPROACH_IMPLEMENTATIONS: dict[AdaptationApproach, str] = {
     AdaptationApproach.FEEDBACK_CONTROL:
-        "repro.selfaware.feedback.PIDController",
+        "repro.autoscaling.autoscalers.AdaptAutoscaler",
     AdaptationApproach.METRIC_OPTIMIZATION:
         "repro.navigation.selection",
     AdaptationApproach.MACHINE_LEARNING:
@@ -55,7 +55,7 @@ APPROACH_IMPLEMENTATIONS: dict[AdaptationApproach, str] = {
     AdaptationApproach.PORTFOLIO_SCHEDULING:
         "repro.scheduling.portfolio.PortfolioScheduler",
     AdaptationApproach.SELF_AWARE_RECONFIGURATION:
-        "repro.selfaware.feedback.MAPEKLoop",
+        "repro.autoscaling.controller.AutoscalingController",
     AdaptationApproach.STOCHASTIC_MODELS:
         "repro.solvers.queueing",
     AdaptationApproach.OTHER:

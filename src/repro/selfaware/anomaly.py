@@ -1,81 +1,16 @@
-"""Anomaly detection and recovery planning (C6 problems (i) and (viii)).
+"""Recovery planning (C6 problem (i)).
 
-Two streaming detectors — a robust z-score detector and a static
-threshold detector — plus a :class:`RecoveryPlanner` that watches a
-scheduler for failed tasks and resubmits them with bounded retries,
-the smallest useful instance of C6's "recovery planning" problem class.
+A :class:`RecoveryPlanner` watches a scheduler for failed tasks and
+resubmits them with bounded retries, the smallest useful instance of
+C6's "recovery planning" problem class.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
 from ..scheduling.scheduler import ClusterScheduler
 from ..workload.task import Task, TaskState
 
-__all__ = ["ZScoreDetector", "ThresholdDetector", "RecoveryPlanner"]
-
-
-class ZScoreDetector:
-    """Flags values far from the sliding-window mean.
-
-    A value is anomalous when ``|value - mean| > threshold * std`` over
-    the last ``window`` observations.  Warm-up observations (fewer than
-    ``min_samples``) are never flagged.
-    """
-
-    def __init__(self, window: int = 50, threshold: float = 3.0,
-                 min_samples: int = 10) -> None:
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
-        if min_samples < 2:
-            raise ValueError("min_samples must be >= 2")
-        self.window = window
-        self.threshold = threshold
-        self.min_samples = min_samples
-        self._values: deque[float] = deque(maxlen=window)
-        self.anomalies: list[tuple[int, float]] = []
-        self._count = 0
-
-    def observe(self, value: float) -> bool:
-        """Feed one observation; returns True if it is anomalous.
-
-        Anomalous observations are recorded but *not* added to the
-        window, so a burst of outliers cannot mask itself.
-        """
-        self._count += 1
-        if len(self._values) >= self.min_samples:
-            mean = sum(self._values) / len(self._values)
-            variance = sum((v - mean) ** 2
-                           for v in self._values) / len(self._values)
-            std = math.sqrt(variance)
-            if std > 0 and abs(value - mean) > self.threshold * std:
-                self.anomalies.append((self._count, value))
-                return True
-        self._values.append(value)
-        return False
-
-
-class ThresholdDetector:
-    """Flags values outside a static [low, high] band."""
-
-    def __init__(self, low: float = -float("inf"),
-                 high: float = float("inf")) -> None:
-        if low > high:
-            raise ValueError("low must not exceed high")
-        self.low = low
-        self.high = high
-        self.anomalies: list[float] = []
-
-    def observe(self, value: float) -> bool:
-        """Feed one observation; returns True if outside the band."""
-        if value < self.low or value > self.high:
-            self.anomalies.append(value)
-            return True
-        return False
+__all__ = ["RecoveryPlanner"]
 
 
 class RecoveryPlanner:

@@ -2,9 +2,9 @@
 
 A minimal, deterministic, SimPy-style kernel: a :class:`Simulator` with a
 virtual clock, generator-based :class:`Process` coroutines, composite
-events, counted resources, containers, stores, seeded random streams,
-and measurement monitors.  Everything else in :mod:`repro` is built on
-top of this module.
+events, counted resources, seeded random streams, and measurement
+monitors.  Everything else in :mod:`repro` is built on top of this
+module.
 """
 
 from .engine import Process, Simulator
@@ -17,7 +17,7 @@ from .experiment import (
 )
 from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
 from .monitor import Monitor, TimeWeightedMonitor, summarize
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource
 from .rng import RandomStreams, substream_seed
 from .sharding import (
     CompletionAck,
@@ -38,8 +38,6 @@ __all__ = [
     "SimulationError",
     "Resource",
     "Request",
-    "Container",
-    "Store",
     "Monitor",
     "TimeWeightedMonitor",
     "summarize",

@@ -407,6 +407,14 @@ class Simulator:
         an :class:`Event` (run until it is processed, returning its
         value or raising its exception).  Time-bounded runs go through
         :meth:`advance_until`; every event is delivered by :meth:`step`.
+
+        ``run(until=event)`` waits through daemon ticks, because a
+        tick's callback may be what triggers the event.  So with an
+        untimed :meth:`every` ticker queued and an event that never
+        triggers, it never returns: ``sim.every(1.0, f);
+        sim.run(until=sim.event())`` spins forever.  When the event may
+        not come, bound the wait by time instead (``run(until=t)``,
+        then check ``event.processed``).
         """
         stop_time = None
         if until is not None and not isinstance(until, Event):

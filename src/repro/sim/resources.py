@@ -1,16 +1,8 @@
-"""Shared-resource primitives built on the event kernel.
+"""A shared-resource primitive built on the event kernel.
 
-Three classic abstractions:
-
-- :class:`Resource` — a counted semaphore with FIFO queueing (machines,
-  servers, slots).
-- :class:`Container` — a continuous quantity that can be put into and
-  taken from (energy budgets, memory pools).
-- :class:`Store` — a FIFO queue of Python objects (task queues,
-  mailboxes).
-
-All waiters are served in FIFO order, which keeps simulations
-deterministic.
+:class:`Resource` is a counted semaphore with FIFO queueing (machines,
+servers, slots).  Waiters are served in FIFO order, which keeps
+simulations deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +15,7 @@ from .events import Event, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Simulator
 
-__all__ = ["Resource", "Request", "Container", "Store"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -111,80 +103,3 @@ class Resource:
         except ValueError:
             pass
 
-
-class Container:
-    """A continuous quantity with blocking ``get`` and non-blocking ``put``."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 initial: float = 0.0) -> None:
-        if initial < 0 or initial > capacity:
-            raise ValueError("initial level must be within [0, capacity]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(initial)
-        self._getters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current stored amount."""
-        return self._level
-
-    def put(self, amount: float) -> None:
-        """Add ``amount``; raises if the container would overflow."""
-        if amount < 0:
-            raise ValueError(f"negative amount {amount}")
-        if self._level + amount > self.capacity + 1e-12:
-            raise SimulationError("container overflow")
-        self._level += amount
-        self._serve_getters()
-
-    def get(self, amount: float) -> Event:
-        """Event that succeeds once ``amount`` could be removed."""
-        if amount < 0:
-            raise ValueError(f"negative amount {amount}")
-        event = Event(self.sim)
-        self._getters.append((event, amount))
-        self._serve_getters()
-        return event
-
-    def _serve_getters(self) -> None:
-        while self._getters and self._getters[0][1] <= self._level + 1e-12:
-            event, amount = self._getters.popleft()
-            self._level -= amount
-            event.succeed(amount)
-
-
-class Store:
-    """An unbounded (or bounded) FIFO queue of arbitrary items."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf")) -> None:
-        self.sim = sim
-        self.capacity = capacity
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    @property
-    def items(self) -> list[Any]:
-        """Snapshot of queued items (oldest first)."""
-        return list(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``; raises if the store is full."""
-        if len(self._items) >= self.capacity:
-            raise SimulationError("store is full")
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Event that succeeds with the next item once one is available."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

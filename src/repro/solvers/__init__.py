@@ -1,32 +1,12 @@
-"""Problem-solving toolbox (S15): the §3.5 computer-centric techniques.
+"""Problem-solving toolbox (S15): the §3.5 queueing-theory models.
 
-A*/IDA* heuristic search, genetic algorithms and simulated annealing,
-M/M/1 and M/M/c queueing with Little's-law checking, and the Roofline
-performance model.
+M/M/1 and M/M/c queueing with Little's-law checking.
 """
 
-from .evolutionary import GAResult, GeneticAlgorithm, simulated_annealing
 from .queueing import MM1, MMc, littles_law_holds
-from .roofline import RooflineModel
-from .search import (
-    GridPathProblem,
-    SearchProblem,
-    SearchResult,
-    astar,
-    ida_star,
-)
 
 __all__ = [
-    "SearchProblem",
-    "SearchResult",
-    "astar",
-    "ida_star",
-    "GridPathProblem",
-    "GeneticAlgorithm",
-    "GAResult",
-    "simulated_annealing",
     "MM1",
     "MMc",
     "littles_law_holds",
-    "RooflineModel",
 ]

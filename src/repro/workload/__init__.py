@@ -19,9 +19,7 @@ from .generators import (
     VicissitudeMix,
     VicissitudePhase,
     WorkloadGenerator,
-    science_workload,
 )
-from .provenance import ProvenanceChain, ProvenanceEntry, record_workflow_run
 from .task import BagOfTasks, Job, Task, TaskState
 from .trace import (
     GWF_FIELDS,
@@ -43,9 +41,7 @@ from .wfformat import (
 from .workflow import (
     Workflow,
     chain_workflow,
-    epigenomics_workflow,
     fork_join_workflow,
-    ligo_workflow,
     montage_workflow,
     random_workflow,
 )
@@ -57,8 +53,6 @@ __all__ = [
     "BagOfTasks",
     "Workflow",
     "montage_workflow",
-    "ligo_workflow",
-    "epigenomics_workflow",
     "chain_workflow",
     "fork_join_workflow",
     "random_workflow",
@@ -72,7 +66,6 @@ __all__ = [
     "VicissitudeMix",
     "WorkloadGenerator",
     "DEFAULT_PROFILES",
-    "science_workload",
     "GWFRecord",
     "GWF_FIELDS",
     "read_gwf",
@@ -86,7 +79,4 @@ __all__ = [
     "load_wfformat",
     "wfformat_workflow",
     "scenario_from_wfformat",
-    "ProvenanceChain",
-    "ProvenanceEntry",
-    "record_workflow_run",
 ]

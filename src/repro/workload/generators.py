@@ -16,23 +16,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .arrivals import ArrivalProcess, PoissonArrivals
+from .arrivals import ArrivalProcess
 from .task import BagOfTasks, Job, Task
-from .workflow import (
-    Workflow,
-    epigenomics_workflow,
-    ligo_workflow,
-    montage_workflow,
-)
 
 __all__ = [
     "TaskProfile",
     "VicissitudePhase",
     "VicissitudeMix",
     "WorkloadGenerator",
-    "science_workload",
 ]
 
 
@@ -180,23 +173,3 @@ class WorkloadGenerator:
                                    submit_time=submit))
         return jobs
 
-
-def science_workload(n_workflows: int = 10, rate: float = 0.01,
-                     seed: int = 0) -> list[Workflow]:
-    """An e-Science mix of Montage / LIGO / Epigenomics workflows (§6.2)."""
-    if n_workflows < 1:
-        raise ValueError("n_workflows must be >= 1")
-    rng = random.Random(seed)
-    arrivals = PoissonArrivals(rate, rng=random.Random(seed + 1))
-    factories: tuple[Callable[..., Workflow], ...] = (
-        montage_workflow, ligo_workflow, epigenomics_workflow)
-    submits = iter(arrivals.arrival_times(horizon=n_workflows / rate * 2))
-    workflows = []
-    for i in range(n_workflows):
-        submit = next(submits, float(i) / rate)
-        factory = factories[i % len(factories)]
-        workflow = factory(rng=random.Random(seed + 10 + i),
-                           submit_time=submit)
-        workflow.name = f"{workflow.name}-{i}"
-        workflows.append(workflow)
-    return workflows

@@ -19,8 +19,6 @@ from .task import Job, Task
 __all__ = [
     "Workflow",
     "montage_workflow",
-    "ligo_workflow",
-    "epigenomics_workflow",
     "random_workflow",
     "chain_workflow",
     "fork_join_workflow",
@@ -170,65 +168,6 @@ def montage_workflow(width: int = 8, rng: random.Random | None = None,
                    for i in range(width)]
     wf.add_task(Task(_runtime(rng, mean_runtime * 2), name="mAdd",
                      kind="montage"), dependencies=backgrounds)
-    wf.validate()
-    return wf
-
-
-def ligo_workflow(branches: int = 4, branch_length: int = 3,
-                  rng: random.Random | None = None,
-                  mean_runtime: float = 20.0,
-                  submit_time: float = 0.0) -> Workflow:
-    """LIGO-Inspiral-like workflow: parallel pipelines merged twice."""
-    if branches < 1 or branch_length < 1:
-        raise ValueError("branches and branch_length must be >= 1")
-    rng = rng or random.Random(0)
-    wf = Workflow("ligo", submit_time=submit_time)
-    merge_inputs = []
-    for b in range(branches):
-        previous: Task | None = None
-        for s in range(branch_length):
-            deps = [previous] if previous is not None else []
-            previous = wf.add_task(
-                Task(_runtime(rng, mean_runtime), name=f"tmplt-{b}-{s}",
-                     kind="ligo"), dependencies=deps)
-        merge_inputs.append(previous)
-    thinca = wf.add_task(Task(_runtime(rng, mean_runtime), name="thinca",
-                              kind="ligo"), dependencies=merge_inputs)
-    trigs = [wf.add_task(Task(_runtime(rng, mean_runtime / 2),
-                              name=f"trigbank-{b}", kind="ligo"),
-                         dependencies=[thinca])
-             for b in range(branches)]
-    wf.add_task(Task(_runtime(rng, mean_runtime), name="thinca-2",
-                     kind="ligo"), dependencies=trigs)
-    wf.validate()
-    return wf
-
-
-def epigenomics_workflow(lanes: int = 4, pipeline_length: int = 4,
-                         rng: random.Random | None = None,
-                         mean_runtime: float = 15.0,
-                         submit_time: float = 0.0) -> Workflow:
-    """Epigenomics-like workflow: split, parallel pipelines, merge."""
-    if lanes < 1 or pipeline_length < 1:
-        raise ValueError("lanes and pipeline_length must be >= 1")
-    rng = rng or random.Random(0)
-    wf = Workflow("epigenomics", submit_time=submit_time)
-    split = wf.add_task(Task(_runtime(rng, mean_runtime), name="fastqSplit",
-                             kind="epigenomics"))
-    tails = []
-    stages = ("filterContams", "sol2sanger", "fastq2bfq", "map")
-    for lane in range(lanes):
-        previous = split
-        for s in range(pipeline_length):
-            stage = stages[s % len(stages)]
-            previous = wf.add_task(
-                Task(_runtime(rng, mean_runtime), name=f"{stage}-{lane}-{s}",
-                     kind="epigenomics"), dependencies=[previous])
-        tails.append(previous)
-    merge = wf.add_task(Task(_runtime(rng, mean_runtime), name="mapMerge",
-                             kind="epigenomics"), dependencies=tails)
-    wf.add_task(Task(_runtime(rng, mean_runtime * 2), name="pileup",
-                     kind="epigenomics"), dependencies=[merge])
     wf.validate()
     return wf
 

@@ -43,4 +43,16 @@ def test_study_plan_covers_all_additions():
     plan = CurriculumRegistry().study_plan()
     titles = {title for _, title in plan}
     assert titles == {a.title for a in CURRICULUM_ADDITIONS}
-    assert len(plan) >= 10
+    assert plan == [
+        ("repro.solvers.queueing", "General problem-solving techniques"),
+        ("repro.core.entity", "Systems Thinking"),
+        ("repro.autoscaling.controller", "Systems Thinking"),
+        ("repro.evolution.model", "Systems Thinking"),
+        ("repro.navigation.selection", "Design Thinking"),
+        ("repro.scheduling.reference", "Design Thinking"),
+        ("repro.core.nfr",
+         "Requirements engineering and user-centered design"),
+        ("repro.sim.rng", "Experiment design and systematic surveys"),
+        ("repro.graphproc.graphalytics",
+         "Experiment design and systematic surveys"),
+    ]

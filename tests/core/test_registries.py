@@ -124,11 +124,7 @@ class TestChallenges:
             for module_name in challenge.addressed_by:
                 if module_name == "tests":
                     continue
-                # Deferred: only the already-built ones must import now.
-                try:
-                    importlib.import_module(module_name)
-                except ModuleNotFoundError:
-                    pytest.skip(f"{module_name} not built yet")
+                importlib.import_module(module_name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integration: burn-rate alerts drive autoscaling and MAPE-K adaptation.
+"""Integration: burn-rate alerts drive autoscaling adaptation.
 
 The tentpole acceptance criterion for the SLO layer: a fired alert
 must demonstrably *cause* an adaptation — the paper's monitoring →
@@ -13,7 +13,6 @@ from repro.observability import (BurnRateRule, Observer,
                                  QueueWaitObjective, SLOEngine,
                                  StreamingPipeline)
 from repro.scheduling import ClusterScheduler
-from repro.selfaware import AlertDrivenAdaptation, MAPEKLoop
 from repro.sim import Simulator
 from repro.workload import Task
 
@@ -86,50 +85,6 @@ def test_boost_is_causal_not_coincidental():
     assert len(engine.alerts.fires()) >= 1  # the alert still fires...
     assert controller.alert_boosts == 0     # ...but nothing reacts
     assert controller.leased_machines == 1  # pinned policy holds
-
-
-def test_alert_fires_a_mapek_iteration_out_of_cadence():
-    sim, observer, scheduler, controller, engine = _overloaded_rig()
-    actions_taken = []
-    loop = MAPEKLoop(
-        sim,
-        sensor=lambda: {"queue": float(len(scheduler.queue))},
-        analyze=lambda knowledge, obs: {"pressure": obs["queue"]},
-        plan=lambda knowledge, symptoms: (
-            {"boost": 1.0} if symptoms["pressure"] > 5 else {}),
-        execute=actions_taken.append,
-        interval=500.0)  # periodic cadence far beyond the run horizon
-    bridge = AlertDrivenAdaptation(engine, loop=loop)
-    sim.run(until=120.0)
-    scheduler.stop()
-    fires = engine.alerts.fires()
-    assert len(fires) >= 1
-    assert bridge.triggered  # every transition was seen
-    # One periodic iteration at t=0 plus one per alert fire: the alert
-    # demonstrably drove extra M-A-P-E iterations.
-    assert loop.iterations == 1 + len(fires)
-    # The alert-driven iteration sensed real overload and planned a boost.
-    assert any(action.get("boost") for action in actions_taken)
-    alert_snapshots = loop.knowledge.history[1:]
-    assert alert_snapshots[0][0] == fires[0].time
-
-
-def test_handler_receives_resolves_too():
-    sim, observer, scheduler, controller, engine = _overloaded_rig()
-    controller.respond_to_alerts(engine, boost=5)  # recover quickly
-    seen = []
-    AlertDrivenAdaptation(engine, handler=seen.append)
-    sim.run(until=120.0)
-    scheduler.stop()
-    kinds = {event.kind for event in seen}
-    assert kinds == {"fire", "resolve"}
-    assert seen == list(engine.alerts)
-
-
-def test_bridge_requires_a_reaction():
-    sim, _, _, _, engine = _overloaded_rig()
-    with pytest.raises(ValueError):
-        AlertDrivenAdaptation(engine)
 
 
 def test_boost_must_be_positive():

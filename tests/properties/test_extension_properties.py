@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SuperFlexibility, super_scalability
 from repro.datacenter import secure_sum
 from repro.evolution import EvolutionModel
 from repro.navigation import NFRProfile, Requirements
-from repro.workload import ProvenanceChain
 
 
 # ---------------------------------------------------------------------------
@@ -25,29 +23,6 @@ def test_secure_sum_exact_for_any_inputs(values, seed):
     total, published = secure_sum(values, rng=random.Random(seed))
     assert total == pytest.approx(sum(values.values()), abs=1e-4)
     assert set(published) == set(values)
-
-
-# ---------------------------------------------------------------------------
-# Provenance: any single-entry mutation is detected
-# ---------------------------------------------------------------------------
-@given(st.lists(st.integers(min_value=0, max_value=1000),
-                min_size=1, max_size=15),
-       st.data())
-def test_provenance_detects_any_payload_mutation(payloads, data):
-    import dataclasses
-
-    chain = ProvenanceChain("p")
-    for value in payloads:
-        chain.record("event", {"value": value})
-    assert chain.is_intact()
-    index = data.draw(st.integers(min_value=0,
-                                  max_value=len(payloads) - 1))
-    entry = chain.entries[index]
-    mutated = dataclasses.replace(
-        entry, payload={"value": entry.payload["value"] + 1})
-    chain._entries[index] = mutated
-    assert not chain.is_intact()
-    assert index in chain.verify()
 
 
 # ---------------------------------------------------------------------------
@@ -101,24 +76,3 @@ def test_pareto_improvement_never_lowers_utility(profile):
     assert (requirements.utility(better)
             >= requirements.utility(profile) - 1e-12)
 
-
-# ---------------------------------------------------------------------------
-# Super-properties: harmonic combination bounds
-# ---------------------------------------------------------------------------
-score_strategy = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-@given(score_strategy, score_strategy)
-def test_super_flexibility_bounded_by_sides(closed, open_score):
-    assessment = SuperFlexibility(closed={"c": closed},
-                                  open={"o": open_score})
-    assert 0.0 <= assessment.score <= 1.0
-    assert assessment.score <= max(closed, open_score) + 1e-12
-    assert assessment.score <= 2 * min(closed, open_score) + 1e-12
-
-
-@given(score_strategy, score_strategy,
-       st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
-def test_super_scalability_bounded(strong, weak, deviation):
-    score = super_scalability(strong, weak, deviation)
-    assert 0.0 <= score <= 1.0

@@ -1,6 +1,7 @@
 """Chaos-experiment acceptance tests: the ISSUE's end-to-end scenario."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -14,9 +15,12 @@ from repro.resilience import (
     HedgePolicy,
     LoadSheddingAdmission,
 )
+from repro.scenario import ScenarioSpec
 from repro.workload import Task
 
 N_MACHINES = 16
+CHAOS_BASELINE = (pathlib.Path(__file__).parents[2] / "examples" / "specs"
+                  / "chaos_baseline.json")
 
 
 def make_cluster():
@@ -144,6 +148,17 @@ class TestChaosVariants:
         experiment = make_experiment(workload=lambda streams: [])
         with pytest.raises(ValueError):
             experiment.run()
+
+    def test_from_spec_runs_the_spec_it_is_given(self):
+        """No hidden retry default, and scheduler, duration and
+        autoscaler all apply: the report is ``spec.run()``'s."""
+        base = ScenarioSpec.from_json(CHAOS_BASELINE.read_text())
+        for edit in ({"retries": None},
+                     {"scheduler.queue": "ljf", "scheduler.backfilling": True},
+                     {"duration": 200.0}):
+            spec = base.override(edit)
+            report = ChaosExperiment.from_spec(spec).run()
+            assert report.summary() == spec.run().chaos["summary"], edit
 
     def test_validation(self):
         with pytest.raises(ValueError):

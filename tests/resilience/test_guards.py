@@ -1,4 +1,4 @@
-"""Breaker/deadline/fallback guards on FaaS calls and federation offloads."""
+"""Breaker and deadline guards on federation offloads."""
 
 import pytest
 
@@ -8,83 +8,9 @@ from repro.datacenter import (
     MachineSpec,
     homogeneous_cluster,
 )
-from repro.faas import FaaSPlatform, FunctionSpec, ResilientInvoker
 from repro.resilience import BreakerState, CircuitBreaker
 from repro.sim import Simulator
 from repro.workload import Task, TaskState
-
-
-class TestResilientInvoker:
-    def build(self, **kwargs):
-        sim = Simulator()
-        platform = FaaSPlatform(sim, concurrency=4)
-        platform.deploy(FunctionSpec("f", mean_runtime=10.0, cold_start=0.0))
-        return sim, platform, ResilientInvoker(platform, **kwargs)
-
-    def test_validation(self):
-        sim = Simulator()
-        platform = FaaSPlatform(sim)
-        with pytest.raises(ValueError):
-            ResilientInvoker(platform, deadline=0.0)
-        with pytest.raises(ValueError):
-            ResilientInvoker(platform, fallback_runtime=-1.0)
-
-    def test_fast_call_succeeds(self):
-        sim, platform, invoker = self.build(deadline=20.0)
-        call = invoker.invoke("f")
-        result = sim.run(until=call)
-        assert not result.fallback
-        assert result.latency == pytest.approx(10.0)
-        assert invoker.successes == 1
-
-    def test_deadline_cancels_slow_call(self):
-        sim, platform, invoker = self.build(deadline=5.0,
-                                            fallback_runtime=0.5)
-        call = invoker.invoke("f")
-        result = sim.run(until=call)
-        assert result.fallback
-        assert result.timed_out
-        assert result.finish_time == pytest.approx(5.5)
-        assert invoker.timeouts == 1
-        # The cancelled platform invocation never completed.
-        sim.run()
-        assert len(platform.invocations) == 0
-
-    def test_breaker_opens_and_rejects_without_touching_platform(self):
-        sim = Simulator()
-        platform = FaaSPlatform(sim, concurrency=4)
-        platform.deploy(FunctionSpec("f", mean_runtime=10.0, cold_start=0.0))
-        breaker = CircuitBreaker(sim, failure_threshold=2,
-                                 recovery_timeout=60.0)
-        invoker = ResilientInvoker(platform, breaker=breaker, deadline=1.0,
-                                   fallback_runtime=0.0)
-
-        def scenario():
-            first = yield invoker.invoke("f")
-            second = yield invoker.invoke("f")
-            assert first.timed_out and second.timed_out
-            assert breaker.state is BreakerState.OPEN
-            third = yield invoker.invoke("f")
-            assert third.fallback and not third.timed_out
-            return third
-
-        done = sim.process(scenario())
-        sim.run(until=done)
-        sim.run()
-        assert invoker.timeouts == 2
-        assert invoker.rejections == 1
-        assert breaker.calls_rejected >= 1
-
-    def test_statistics(self):
-        sim, platform, invoker = self.build(deadline=5.0)
-        invoker.invoke("f", runtime=1.0)
-        invoker.invoke("f", runtime=30.0)
-        sim.run()
-        stats = invoker.statistics()
-        assert stats["calls"] == 2.0
-        assert stats["successes"] == 1.0
-        assert stats["timeouts"] == 1.0
-        assert stats["fallback_fraction"] == pytest.approx(0.5)
 
 
 class TestGuardedFederation:

@@ -1,4 +1,6 @@
-"""Unit tests for self-awareness: MAPE-K, PID, taxonomy, anomalies."""
+"""Unit tests for self-awareness: the adaptation taxonomy and recovery."""
+
+import importlib
 
 import pytest
 
@@ -10,107 +12,12 @@ from repro.selfaware import (
     APPROACH_IMPLEMENTATIONS,
     AdaptationApproach,
     AdaptationProblem,
-    Knowledge,
-    MAPEKLoop,
-    PIDController,
     RecoveryPlanner,
-    ThresholdDetector,
-    ZScoreDetector,
     approaches_for,
     problems_addressed_by,
 )
 from repro.sim import Simulator
 from repro.workload import Task, TaskState
-
-
-class TestKnowledge:
-    def test_remember_and_recent(self):
-        knowledge = Knowledge()
-        for t in range(5):
-            knowledge.remember(float(t), {"load": float(t)})
-        assert knowledge.recent("load", n=3) == [2.0, 3.0, 4.0]
-        assert knowledge.recent("missing") == []
-
-
-class TestMAPEKLoop:
-    def test_interval_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            MAPEKLoop(sim, lambda: {}, lambda k, o: {}, lambda k, s: {},
-                      lambda a: None, interval=0.0)
-
-    def test_loop_drives_system_to_setpoint(self):
-        sim = Simulator()
-        system = {"capacity": 1.0, "load": 10.0}
-
-        def sensor():
-            return {"utilization": system["load"] / system["capacity"]}
-
-        def analyze(knowledge, obs):
-            return {"overload": obs["utilization"] - 1.0}
-
-        def plan(knowledge, symptoms):
-            if symptoms["overload"] > 0:
-                return {"add_capacity": symptoms["overload"]}
-            return {}
-
-        def execute(actions):
-            system["capacity"] += actions.get("add_capacity", 0.0)
-
-        loop = MAPEKLoop(sim, sensor, analyze, plan, execute, interval=1.0)
-        sim.run(until=20.0)
-        loop.stop()
-        assert system["capacity"] >= 9.9  # converged to the demand
-        assert loop.iterations >= 10
-        assert loop.knowledge.history
-
-    def test_single_step(self):
-        sim = Simulator()
-        actions_log = []
-        loop = MAPEKLoop(sim, lambda: {"x": 1.0},
-                         lambda k, o: {"sym": o["x"]},
-                         lambda k, s: {"act": s["sym"] * 2},
-                         actions_log.append, interval=100.0)
-        actions = loop.step()
-        assert actions == {"act": 2.0}
-
-
-class TestPIDController:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PIDController(0.0, output_limits=(1.0, -1.0))
-        controller = PIDController(0.0)
-        with pytest.raises(ValueError):
-            controller.update(0.0, dt=0.0)
-
-    def test_proportional_action(self):
-        controller = PIDController(setpoint=10.0, kp=0.5)
-        assert controller.update(6.0) == pytest.approx(2.0)
-        assert controller.update(14.0) == pytest.approx(-2.0)
-
-    def test_integral_eliminates_steady_error(self):
-        controller = PIDController(setpoint=10.0, kp=0.0, ki=0.1)
-        outputs = [controller.update(8.0) for _ in range(5)]
-        assert outputs == sorted(outputs)  # integral winds up
-        assert outputs[-1] > outputs[0]
-
-    def test_output_clamped(self):
-        controller = PIDController(setpoint=100.0, kp=10.0,
-                                   output_limits=(-1.0, 1.0))
-        assert controller.update(0.0) == 1.0
-
-    def test_reset_clears_state(self):
-        controller = PIDController(setpoint=10.0, kp=0.0, ki=1.0)
-        controller.update(0.0)
-        controller.reset()
-        assert controller.update(10.0) == pytest.approx(0.0)
-
-    def test_closed_loop_converges(self):
-        controller = PIDController(setpoint=5.0, kp=0.4, ki=0.1)
-        value = 0.0
-        for _ in range(100):
-            value += controller.update(value)
-        assert value == pytest.approx(5.0, abs=0.2)
 
 
 class TestAdaptationTaxonomy:
@@ -127,18 +34,14 @@ class TestAdaptationTaxonomy:
             assert approach in APPROACH_IMPLEMENTATIONS
 
     def test_implementation_pointers_resolve(self):
-        import importlib
+        """Each pointer names a module, or a module and one of its
+        attributes; a pointer at code that does not exist fails."""
         for target in APPROACH_IMPLEMENTATIONS.values():
-            module_name, _, attribute = target.rpartition(".")
             try:
-                module = importlib.import_module(target)
+                importlib.import_module(target)
             except ModuleNotFoundError:
-                try:
-                    module = importlib.import_module(module_name)
-                except ModuleNotFoundError:
-                    pytest.skip(f"{module_name} not built yet")
-                if getattr(module, "__file__", None) is None:
-                    pytest.skip(f"{module_name} not built yet")
+                module_name, _, attribute = target.rpartition(".")
+                module = importlib.import_module(module_name)
                 assert hasattr(module, attribute), target
 
     def test_portfolio_applies_to_autoscaling(self):
@@ -148,47 +51,6 @@ class TestAdaptationTaxonomy:
 
     def test_applicability_covers_all_problems(self):
         assert set(APPLICABILITY) == set(AdaptationProblem)
-
-
-class TestZScoreDetector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ZScoreDetector(window=1)
-        with pytest.raises(ValueError):
-            ZScoreDetector(threshold=0.0)
-        with pytest.raises(ValueError):
-            ZScoreDetector(min_samples=1)
-
-    def test_flags_outlier_after_warmup(self):
-        detector = ZScoreDetector(window=50, threshold=3.0, min_samples=10)
-        for i in range(20):
-            assert not detector.observe(10.0 + (i % 3) * 0.1)
-        assert detector.observe(100.0)
-        assert detector.anomalies
-
-    def test_warmup_never_flags(self):
-        detector = ZScoreDetector(min_samples=10)
-        assert not detector.observe(1e9)
-
-    def test_outliers_do_not_poison_window(self):
-        detector = ZScoreDetector(window=50, threshold=3.0, min_samples=10)
-        for i in range(20):
-            detector.observe(10.0 + (i % 3) * 0.1)
-        assert detector.observe(100.0)
-        assert detector.observe(100.0)  # still anomalous
-
-
-class TestThresholdDetector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdDetector(low=2.0, high=1.0)
-
-    def test_band_checks(self):
-        detector = ThresholdDetector(low=0.0, high=10.0)
-        assert not detector.observe(5.0)
-        assert detector.observe(-1.0)
-        assert detector.observe(11.0)
-        assert detector.anomalies == [-1.0, 11.0]
 
 
 class TestRecoveryPlanner:

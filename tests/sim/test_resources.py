@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Container and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, SimulationError, Simulator, Store
+from repro.sim import Resource, SimulationError, Simulator
 
 
 def test_resource_capacity_validation():
@@ -71,92 +71,3 @@ def test_release_without_grant_is_error():
     with pytest.raises(SimulationError):
         resource._release_one()
 
-
-def test_container_put_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, initial=3.0)
-    tank.put(2.0)
-    assert tank.level == 5.0
-    got = tank.get(4.0)
-    assert got.triggered
-    assert tank.level == 1.0
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    fills = []
-
-    def consumer(sim, tank):
-        yield tank.get(5.0)
-        fills.append(sim.now)
-
-    def producer(sim, tank):
-        for _ in range(5):
-            yield sim.timeout(1.0)
-            tank.put(1.0)
-
-    sim.process(consumer(sim, tank))
-    sim.process(producer(sim, tank))
-    sim.run()
-    assert fills == [5.0]
-    assert tank.level == pytest.approx(0.0)
-
-
-def test_container_overflow_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=1.0)
-    with pytest.raises(SimulationError):
-        tank.put(2.0)
-
-
-def test_container_initial_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=1.0, initial=2.0)
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    store.put("y")
-    first, second = store.get(), store.get()
-    assert first.value == "x"
-    assert second.value == "y"
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        received.append((sim.now, item))
-
-    def producer(sim, store):
-        yield sim.timeout(2.0)
-        store.put("late")
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert received == [(2.0, "late")]
-
-
-def test_store_capacity_enforced():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put(1)
-    with pytest.raises(SimulationError):
-        store.put(2)
-
-
-def test_store_len_and_items():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("a")
-    store.put("b")
-    assert len(store) == 2
-    assert store.items == ["a", "b"]

@@ -1,153 +1,8 @@
-"""Unit tests for the §3.5 problem-solving toolbox."""
-
-import random
+"""Unit tests for the queueing-theory models."""
 
 import pytest
 
-from repro.solvers import (
-    MM1,
-    GeneticAlgorithm,
-    GridPathProblem,
-    MMc,
-    RooflineModel,
-    astar,
-    ida_star,
-    littles_law_holds,
-    simulated_annealing,
-)
-
-
-class TestAStar:
-    def test_straight_line(self):
-        problem = GridPathProblem(5, 5, (0, 0), (4, 0))
-        result = astar(problem)
-        assert result.found
-        assert result.cost == pytest.approx(4.0)
-        assert result.path[0] == (0, 0)
-        assert result.path[-1] == (4, 0)
-
-    def test_routes_around_obstacles(self):
-        wall = [(2, y) for y in range(4)]
-        problem = GridPathProblem(5, 5, (0, 0), (4, 0), obstacles=wall)
-        result = astar(problem)
-        assert result.found
-        assert result.cost == pytest.approx(4 + 2 * 4)  # detour over the wall
-
-    def test_unreachable_goal(self):
-        wall = [(2, y) for y in range(5)]
-        problem = GridPathProblem(5, 5, (0, 0), (4, 0), obstacles=wall)
-        result = astar(problem)
-        assert not result.found
-        assert result.cost == float("inf")
-
-    def test_heuristic_reduces_expansions(self):
-        # Goal off the diagonal: Manhattan prunes off-path states (on
-        # the corner-to-corner diagonal every state ties at f = 2n-2
-        # and the heuristic cannot prune anything).
-        problem = GridPathProblem(20, 20, (0, 0), (19, 0))
-
-        class NoHeuristic(GridPathProblem):
-            def heuristic(self, state):
-                return 0.0
-
-        blind = NoHeuristic(20, 20, (0, 0), (19, 0))
-        assert astar(problem).expanded < astar(blind).expanded
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            GridPathProblem(0, 5, (0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            GridPathProblem(5, 5, (0, 0), (9, 9))
-        with pytest.raises(ValueError):
-            GridPathProblem(5, 5, (0, 0), (1, 1), obstacles=[(0, 0)])
-
-
-class TestIDAStar:
-    def test_matches_astar_cost(self):
-        wall = [(2, y) for y in range(4)]
-        problem = GridPathProblem(5, 5, (0, 0), (4, 0), obstacles=wall)
-        a = astar(problem)
-        b = ida_star(problem)
-        assert b.found
-        assert b.cost == pytest.approx(a.cost)
-
-    def test_unreachable(self):
-        wall = [(1, y) for y in range(3)]
-        problem = GridPathProblem(3, 3, (0, 0), (2, 0), obstacles=wall)
-        assert not ida_star(problem).found
-
-
-class TestGeneticAlgorithm:
-    def one_max(self, length=24):
-        def fitness(genome):
-            return sum(genome)
-
-        def crossover(a, b, rng):
-            point = rng.randrange(1, len(a))
-            return a[:point] + b[point:]
-
-        def mutate(genome, rng):
-            index = rng.randrange(len(genome))
-            flipped = list(genome)
-            flipped[index] = 1 - flipped[index]
-            return tuple(flipped)
-
-        rng = random.Random(1)
-        population = [tuple(rng.randint(0, 1) for _ in range(length))
-                      for _ in range(30)]
-        return fitness, crossover, mutate, population
-
-    def test_solves_one_max(self):
-        fitness, crossover, mutate, population = self.one_max()
-        ga = GeneticAlgorithm(fitness, crossover, mutate,
-                              population_size=30, rng=random.Random(2))
-        result = ga.run(population, generations=60)
-        assert result.best_fitness >= 22  # near-perfect bitstring
-        assert result.history[-1] >= result.history[0]
-
-    def test_elitism_monotonic_history(self):
-        fitness, crossover, mutate, population = self.one_max()
-        ga = GeneticAlgorithm(fitness, crossover, mutate,
-                              population_size=30, elite=2,
-                              rng=random.Random(3))
-        result = ga.run(population, generations=30)
-        assert all(b >= a for a, b in zip(result.history,
-                                          result.history[1:]))
-
-    def test_validation(self):
-        fitness, crossover, mutate, population = self.one_max()
-        with pytest.raises(ValueError):
-            GeneticAlgorithm(fitness, crossover, mutate, population_size=1)
-        with pytest.raises(ValueError):
-            GeneticAlgorithm(fitness, crossover, mutate, elite=50)
-        ga = GeneticAlgorithm(fitness, crossover, mutate)
-        with pytest.raises(ValueError):
-            ga.run(population, generations=0)
-        with pytest.raises(ValueError):
-            ga.run(population[:1], generations=5)
-
-
-class TestSimulatedAnnealing:
-    def test_minimizes_quadratic(self):
-        def energy(x):
-            return (x - 3.0) ** 2
-
-        def neighbor(x, rng):
-            return x + rng.gauss(0.0, 0.3)
-
-        best, best_energy = simulated_annealing(
-            0.0, energy, neighbor, iterations=4000,
-            rng=random.Random(4))
-        assert best == pytest.approx(3.0, abs=0.3)
-        assert best_energy < 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulated_annealing(0.0, lambda x: x, lambda x, r: x,
-                                initial_temperature=0.0)
-        with pytest.raises(ValueError):
-            simulated_annealing(0.0, lambda x: x, lambda x, r: x,
-                                cooling=1.5)
+from repro.solvers import MM1, MMc, littles_law_holds
 
 
 class TestQueueing:
@@ -191,30 +46,3 @@ class TestQueueing:
                                      mean_response=0.5)
         with pytest.raises(ValueError):
             littles_law_holds(0.0, 1.0, 1.0)
-
-
-class TestRoofline:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RooflineModel(peak_gflops=0.0, peak_bandwidth=10.0)
-        model = RooflineModel(100.0, 50.0)
-        with pytest.raises(ValueError):
-            model.attainable_gflops(0.0)
-
-    def test_ridge_point_and_regimes(self):
-        model = RooflineModel(peak_gflops=100.0, peak_bandwidth=50.0)
-        assert model.ridge_point == pytest.approx(2.0)
-        assert model.is_memory_bound(0.5)
-        assert not model.is_memory_bound(4.0)
-
-    def test_attainable_performance(self):
-        model = RooflineModel(peak_gflops=100.0, peak_bandwidth=50.0)
-        assert model.attainable_gflops(1.0) == pytest.approx(50.0)
-        assert model.attainable_gflops(10.0) == pytest.approx(100.0)
-
-    def test_series_monotone_then_flat(self):
-        model = RooflineModel(100.0, 50.0)
-        series = model.roofline_series([0.5, 1.0, 2.0, 4.0, 8.0])
-        values = [y for _, y in series]
-        assert values == sorted(values)
-        assert values[-1] == values[-2] == 100.0

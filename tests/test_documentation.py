@@ -136,3 +136,38 @@ def test_readme_relative_links_resolve():
         if not (REPO_ROOT / target).exists():
             broken.append(target)
     assert not broken, f"README.md links to missing files: {broken}"
+
+
+# ---------------------------------------------------------------------------
+# The handbook names only code that exists: every backticked dotted
+# ``repro.…`` name resolves to a module or to an attribute of one.
+# ---------------------------------------------------------------------------
+DOTTED_NAME = re.compile(r"`(repro(?:\.\w+)+)")
+
+
+def handbook():
+    return [REPO_ROOT / "README.md", REPO_ROOT / "DESIGN.md",
+            REPO_ROOT / "EXPERIMENTS.md", *doc_pages()]
+
+
+def resolves(dotted):
+    """True when ``dotted`` is a module, or a module's attribute path."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def test_docs_name_only_code_that_exists():
+    dangling = [f"{page.name}: {name}" for page in handbook()
+                for name in DOTTED_NAME.findall(page.read_text())
+                if not resolves(name)]
+    assert not dangling, f"docs name code that does not exist: {dangling}"

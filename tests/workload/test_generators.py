@@ -11,7 +11,6 @@ from repro.workload import (
     VicissitudeMix,
     VicissitudePhase,
     WorkloadGenerator,
-    science_workload,
 )
 
 
@@ -109,20 +108,6 @@ def test_fragmentation_shrinks_tasks_over_time():
     late_sizes = [len(j) for j in jobs if j.submit_time > horizon * 0.8]
     assert (sum(late_sizes) / len(late_sizes)
             > sum(early_sizes) / len(early_sizes))
-
-
-def test_science_workload_mixes_families():
-    workflows = science_workload(n_workflows=6, seed=1)
-    assert len(workflows) == 6
-    families = {wf.name.split("-")[0] for wf in workflows}
-    assert families == {"montage", "ligo", "epigenomics"}
-    submits = [wf.submit_time for wf in workflows]
-    assert submits == sorted(submits)
-
-
-def test_science_workload_validation():
-    with pytest.raises(ValueError):
-        science_workload(n_workflows=0)
 
 
 def test_generator_determinism():

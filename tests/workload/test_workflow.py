@@ -1,5 +1,6 @@
 """Unit tests for workflow DAGs and the shape generators."""
 
+import pathlib
 import random
 
 import pytest
@@ -8,12 +9,13 @@ from repro.workload import (
     Task,
     Workflow,
     chain_workflow,
-    epigenomics_workflow,
     fork_join_workflow,
-    ligo_workflow,
     montage_workflow,
     random_workflow,
+    wfformat_workflow,
 )
+
+GALLERY = pathlib.Path(__file__).parents[2] / "examples" / "specs"
 
 
 def test_add_task_requires_known_dependency():
@@ -69,23 +71,6 @@ def test_montage_width_validated():
         montage_workflow(width=1)
 
 
-def test_ligo_shape():
-    wf = ligo_workflow(branches=3, branch_length=2, rng=random.Random(1))
-    # 3*2 pipeline + thinca + 3 trigbanks + thinca-2
-    assert len(wf) == 6 + 1 + 3 + 1
-    assert len(wf.entry_tasks()) == 3
-    assert wf.exit_tasks()[0].name == "thinca-2"
-
-
-def test_epigenomics_shape():
-    wf = epigenomics_workflow(lanes=2, pipeline_length=3, rng=random.Random(1))
-    # split + 2*3 pipeline + merge + pileup
-    assert len(wf) == 1 + 6 + 1 + 1
-    assert len(wf.entry_tasks()) == 1
-    assert wf.exit_tasks()[0].name == "pileup"
-    assert wf.depth == 1 + 3 + 1 + 1
-
-
 def test_random_workflow_is_acyclic_and_sized():
     wf = random_workflow(n_tasks=30, edge_probability=0.3,
                          rng=random.Random(7))
@@ -115,7 +100,7 @@ def test_generators_respect_submit_time():
 
 
 def test_critical_path_bounds_level_sum():
-    wf = ligo_workflow(branches=4, branch_length=3, rng=random.Random(3))
+    wf = wfformat_workflow(GALLERY / "ligo_small.wfformat.json")
     # Critical path is at most the sum of per-level max runtimes.
     per_level_max = sum(max(t.runtime for t in level) for level in wf.levels())
     assert wf.critical_path_length() <= per_level_max + 1e-9
