@@ -15,8 +15,10 @@ large-scale runs.  :class:`CapacityIndex` answers both incrementally:
 - a :class:`CapacityVectors` view — numpy arrays of per-machine free
   cores and free memory, maintained as an exact mirror of the machine
   counters — on which vectorized placement policies evaluate a whole
-  fleet in one C-speed pass instead of a per-machine attribute walk,
-  and :meth:`largest_free_cores` bounds which task sizes can fit at all.
+  fleet in one C-speed pass instead of a per-machine attribute walk;
+- a histogram of free cores over the machines that are up, kept with
+  the vector rows, so :meth:`largest_free_cores` (which task sizes can
+  fit at all) is a read, not a reduction over the fleet.
 
 The index is deliberately *order-preserving*: machines are always
 yielded in topology order (clusters, then racks, then mount order),
@@ -97,18 +99,31 @@ class CapacityVectors:
       policies; ``name_rank`` is the lexicographic rank of each machine
       name, replicating the ``(key, name)`` tie-breaks of the scalar
       policies without string comparisons.
+    - ``largest_free`` is ``max(cores_free)``, or ``-1`` when no machine
+      is up, kept from a histogram of ``cores_free`` over the up
+      machines.  :meth:`refresh` moves one machine between two bins
+      and raises the top, or walks it down past emptied bins (at most
+      the largest core count of the fleet), so reading it costs
+      nothing per query.
     """
 
     __slots__ = ("machines", "cores_free", "memory_free",
                  "memory_free_eps", "speed", "cost_per_hour",
                  "delta_watts", "cores_total", "name_rank",
+                 "largest_free", "_free_counts",
                  "_avail_positions", "_avail_epoch", "_index",
                  "_mask_a", "_mask_b")
 
     def __init__(self, machines: tuple[Machine, ...]) -> None:
         n = len(machines)
         self.machines = machines
-        self.cores_free = _np.empty(n, dtype=_np.int64)
+        # Every row starts down (-1) with an empty histogram; each
+        # machine's first refresh below counts it in.
+        self.cores_free = _np.full(n, -1, dtype=_np.int64)
+        self.largest_free = -1
+        #: Up machines per free-core count, indexed by the count.
+        self._free_counts = [0] * (1 + max(
+            (machine.spec.cores for machine in machines), default=0))
         self.memory_free = _np.empty(n, dtype=_np.float64)
         #: ``memory_free + 1e-12`` maintained alongside, so the fit
         #: mask is two comparisons with no temporary allocation.
@@ -142,10 +157,24 @@ class CapacityVectors:
             if i is None:
                 return
         spec = machine.spec
-        if machine._available:
-            self.cores_free[i] = spec.cores - machine._cores_used
-        else:
-            self.cores_free[i] = -1
+        cores = spec.cores - machine._cores_used if machine._available else -1
+        cores_free = self.cores_free
+        old = cores_free.item(i)
+        if cores != old:
+            cores_free[i] = cores
+            counts = self._free_counts
+            if old >= 0:
+                counts[old] -= 1
+            if cores >= 0:
+                counts[cores] += 1
+            top = self.largest_free
+            if cores > top:
+                self.largest_free = cores
+            elif old == top and not counts[top]:
+                top -= 1
+                while top >= 0 and not counts[top]:
+                    top -= 1
+                self.largest_free = top
         free = (spec.memory - machine._alloc_memory
                 - machine._reserved_memory)
         self.memory_free[i] = free
@@ -242,12 +271,12 @@ class CapacityIndex:
 
         Topology only ever *grows* (racks and machines are added, never
         removed), and every growth path bumps the process-wide
-        ``cluster.topology_version()`` counter, so an unchanged version
+        ``cluster._TOPOLOGY_VERSION`` counter, so an unchanged version
         makes this probe O(1).  On a version change (possibly from an
         unrelated topology) a total-count comparison decides whether
         *this* index is stale.
         """
-        version = _topology.topology_version()
+        version = _topology._TOPOLOGY_VERSION
         if version == self._topology_version:
             return
         count = 0
@@ -350,11 +379,11 @@ class CapacityIndex:
         """Most free cores on any one up machine (``-1`` if none is up).
 
         No task demanding more cores can be placed anywhere right now,
-        whatever the placement policy.
+        whatever the placement policy.  A read of the vectors' kept
+        ``largest_free``, not a pass over the fleet.
         """
         self._check_topology()
-        cores_free = self.vectors.cores_free
-        return int(cores_free.max()) if cores_free.size else -1
+        return self.vectors.largest_free
 
     def cluster_free_cores(self, cluster: Cluster) -> int:
         """Free cores of one cluster (counter lookup, no scan)."""

@@ -12,19 +12,13 @@ from typing import Iterator, Sequence
 
 from .machine import Machine, MachineKind, MachineSpec
 
-__all__ = ["Rack", "Cluster", "homogeneous_cluster", "heterogeneous_cluster",
-           "topology_version"]
+__all__ = ["Rack", "Cluster", "homogeneous_cluster", "heterogeneous_cluster"]
 
 #: Process-wide count of topology mutations (racks built or extended).
-#: CapacityIndex snapshots it to make its staleness probe O(1): an
-#: unchanged version proves no machine was mounted anywhere, so the
-#: per-rack recount can be skipped entirely.
+#: CapacityIndex reads it as a module attribute to make its staleness
+#: probe O(1): an unchanged version proves no machine was mounted
+#: anywhere, so the per-rack recount can be skipped entirely.
 _TOPOLOGY_VERSION = 0
-
-
-def topology_version() -> int:
-    """Current global topology-mutation count."""
-    return _TOPOLOGY_VERSION
 
 
 def _bump_topology() -> None:

@@ -280,8 +280,8 @@ class Machine:
         if not self._available:
             return 0.0
         spec = self.spec
-        return spec.idle_watts + (spec.max_watts
-                                  - spec.idle_watts) * self.utilization
+        return spec.idle_watts + (spec.max_watts - spec.idle_watts) * (
+            self._cores_used / spec.cores)
 
     def account_energy(self, now: float) -> None:
         """Integrate energy since the previous accounting call.

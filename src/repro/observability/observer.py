@@ -4,10 +4,9 @@ Observability in this repository is **disabled by default and free
 when disabled**: instrumented code paths (scheduler, datacenter,
 failure injector, FaaS platform, autoscaler, chaos harness) read
 ``sim.observer`` and do nothing when it is ``None`` — a single
-attribute load and identity check, and the simulator's hot event loop
-does not even pay that (it dispatches once per ``run()`` call, not per
-event).  Attaching an :class:`Observer` flips every instrumented site
-on at once:
+attribute load and identity check.  ``Simulator.step`` pays that check
+once per event to decide whether a profiler attributes it.  Attaching
+an :class:`Observer` flips every instrumented site on at once:
 
 - ``observer.tracer`` collects causal :class:`~repro.observability.tracing.Span`
   trees over simulated time;
@@ -81,8 +80,8 @@ class Observer:
         sim.observer = self
         self.sim = sim
         # The clock attribute read through C callables: a span stamp
-        # then runs no Python frame (the ``now`` property costs one).
-        self.tracer.bind_clock(partial(getattr, sim, "_now"))
+        # then runs no Python frame.
+        self.tracer.bind_clock(partial(getattr, sim, "now"))
         return self
 
     def detach(self) -> None:

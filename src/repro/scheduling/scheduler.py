@@ -254,7 +254,9 @@ class ClusterScheduler:
     # Scheduling loop
     # ------------------------------------------------------------------
     def _poke(self) -> None:
-        if not self._wakeup.triggered:
+        # ``not triggered`` read off the slot: two pokes per task, and
+        # the property would add a frame to each.
+        if self._wakeup._ok is None:
             self._wakeup.succeed()
 
     def _wake(self, _wakeup: Event) -> None:
@@ -266,7 +268,7 @@ class ClusterScheduler:
         the scheduler's name (``scheduler`` by default: scheduling).
         After :meth:`stop` the next wake-up gets no callback.
         """
-        wakeup = self._wakeup = self.sim.event()
+        wakeup = self._wakeup = Event(self.sim)
         if self._queue_dirty:
             # Flush the deferred queue-length seam.  _poke() guarantees
             # this runs at the same sim timestamp as the deferred

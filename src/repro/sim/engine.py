@@ -141,7 +141,7 @@ class Ticker:
         sim = self.sim
         if self.until is None:
             sim._daemons += 1
-        elif sim._now + delay > self.until + 1e-9:
+        elif sim.now + delay > self.until + 1e-9:
             return
         Timeout(sim, delay).add_callback(self._fire)
 
@@ -149,7 +149,7 @@ class Ticker:
         if self.until is None:
             self.sim._daemons -= 1
         if self._due and not self.stopped:
-            self.fn(self.sim._now)
+            self.fn(self.sim.now)
         self._due = True
         if not self.stopped:
             self._post(self.interval)
@@ -175,7 +175,10 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current simulated time.  A plain attribute, so a read runs no
+        #: Python frame; only the kernel writes it (:meth:`step` and
+        #: :meth:`run` with a time bound).
+        self.now = float(start_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._active_process: Process | None = None
@@ -191,11 +194,6 @@ class Simulator:
         #: including :meth:`step`, which checks it for a profiler once
         #: per event — at its uninstrumented cost.
         self.observer: Any = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -247,7 +245,7 @@ class Simulator:
     # Scheduling and the main loop
     # ------------------------------------------------------------------
     def _enqueue(self, event: Event, delay: float) -> None:
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        heapq.heappush(self._queue, (self.now + delay, self._sequence, event))
         self._sequence += 1
 
     def peek(self) -> float:
@@ -275,7 +273,7 @@ class Simulator:
         if observer is not None and observer.profiler is not None:
             event = self._step_profiled(observer.profiler)
         else:
-            self._now, _, event = heapq.heappop(self._queue)
+            self.now, _, event = heapq.heappop(self._queue)
             event._run_callbacks()
         self.events_processed += 1
         if event._ok is False and not event.defused:
@@ -294,9 +292,9 @@ class Simulator:
         Each label resolves to its subsystem's bucket through the
         profiler's label map, and the bucket is updated in place.
         """
-        previous = self._now
-        self._now, _, event = heapq.heappop(self._queue)
-        sim_dt = self._now - previous
+        previous = self.now
+        self.now, _, event = heapq.heappop(self._queue)
+        sim_dt = self.now - previous
         event_label = getattr(event, "name", "") or ""
         callbacks = event.callbacks
         event.callbacks = None
@@ -389,10 +387,10 @@ class Simulator:
         Returns:
             The scheduled delivery event.
         """
-        delay = when - self._now
+        delay = when - self.now
         if not delay >= 0:
             raise ValueError(
-                f"cannot inject at {when} (now={self._now}); conservative "
+                f"cannot inject at {when} (now={self.now}); conservative "
                 f"coupling must deliver messages in the future")
         timeout = self.timeout(delay)
         timeout.add_callback(fn)
@@ -419,10 +417,10 @@ class Simulator:
         stop_time = None
         if until is not None and not isinstance(until, Event):
             stop_time = float(until)
-            if not stop_time >= self._now:
+            if not stop_time >= self.now:
                 raise ValueError(
                     f"until={until!r} is not a time at or after now "
-                    f"({self._now})")
+                    f"({self.now})")
         observer = self.observer
         profiler = observer.profiler if observer is not None else None
         started = perf_counter()
@@ -439,7 +437,7 @@ class Simulator:
                 return until.value
             self.advance_until(float("inf"), bound=stop_time)
             if stop_time is not None and stop_time != float("inf"):
-                self._now = stop_time
+                self.now = stop_time
             return None
         finally:
             if profiler is not None:

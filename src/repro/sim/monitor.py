@@ -132,9 +132,11 @@ class TimeWeightedMonitor:
         self._weighted_sum += self._value * dt
         self._duration += dt
         self._last_time = time
-        self._value = float(value)
-        self._max = max(self._max, self._value)
-        self._min = min(self._min, self._value)
+        value = self._value = float(value)
+        if value > self._max:
+            self._max = value
+        if value < self._min:
+            self._min = value
 
     def add(self, time: float, delta: float) -> None:
         """Increment the variable by ``delta`` at ``time``."""

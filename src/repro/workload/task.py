@@ -31,9 +31,15 @@ class TaskState(enum.Enum):
     SHED = "shed"
 
 
-@dataclass
+@dataclass(eq=False)
 class Task:
     """One schedulable unit of work.
+
+    A task is an entity, not a value: it compares and hashes by
+    identity, so ``==`` and ``hash()`` run no Python frame when the
+    schedulers and the datacenter key their bookkeeping on it.  A copy
+    (``dataclasses.replace``) is a different task even with the same
+    ``task_id`` and fields.
 
     Attributes:
         runtime: Service demand in seconds on one dedicated core-set.
@@ -279,9 +285,6 @@ class Task:
         if self.finish_time is None:
             return False
         return self.finish_time <= self.deadline
-
-    def __hash__(self) -> int:
-        return self.task_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Task {self.name} rt={self.runtime} cores={self.cores} "

@@ -82,12 +82,13 @@ class Workflow(Job):
     def levels(self) -> list[list[Task]]:
         """Topological levels: level i tasks depend only on levels < i."""
         self.validate()
+        internal = set(self.tasks)
         level_of: dict[Task, int] = {}
         remaining = list(self.tasks)
         while remaining:
             progressed = False
             for task in list(remaining):
-                deps = [d for d in task.dependencies if d in set(self.tasks)]
+                deps = [d for d in task.dependencies if d in internal]
                 if all(d in level_of for d in deps):
                     level_of[task] = 1 + max(
                         (level_of[d] for d in deps), default=-1)
@@ -113,12 +114,13 @@ class Workflow(Job):
         standard workflow-scheduling baseline.
         """
         self.validate()
+        internal = set(self.tasks)
         longest: dict[Task, float] = {}
 
         def visit(task: Task) -> float:
             if task in longest:
                 return longest[task]
-            deps = [d for d in task.dependencies if d in set(self.tasks)]
+            deps = [d for d in task.dependencies if d in internal]
             longest[task] = task.runtime + max(
                 (visit(d) for d in deps), default=0.0)
             return longest[task]

@@ -44,9 +44,9 @@ def _step_profiled(self, profiler) -> Event:
     process it resumes, or the task execution it advances),
     falling back to the event's own name, then to the kernel.
     """
-    previous = self._now
-    self._now, _, event = heapq.heappop(self._queue)
-    sim_dt = self._now - previous
+    previous = self.now
+    self.now, _, event = heapq.heappop(self._queue)
+    sim_dt = self.now - previous
     event_label = getattr(event, "name", "") or ""
     callbacks = event.callbacks
     event.callbacks = None

@@ -18,7 +18,8 @@ also pin the registries themselves: a new policy must either join a
 fast path or be listed as a documented fallback, never silently miss
 both.  Under the same perturbations plus bare availability flips, the
 capacity index's counters (used, free, machines up; totals and per
-cluster) must equal a machine-by-machine recount after every step.
+cluster) and its kept fit limit (most free cores on an up machine) must
+equal a machine-by-machine recount after every step.
 """
 
 import random
@@ -327,7 +328,33 @@ class TestCapacityCounters:
         both = CapacityIndex([*index_a.clusters, *index_b.clusters])
         machines = fleet_a + fleet_b
         fillers: list[tuple[Machine, Task]] = []
+
+        def check(step):
+            for index in (index_a, index_b, both):
+                used, free, up = _recount(index.machines())
+                assert (index.used_cores_total(), index.free_cores_total(),
+                        index.available_count()) == (used, free, up), (
+                    f"step {step}")
+                assert index.largest_free_cores() == max(
+                    (m.cores_free for m in index.machines() if m.available),
+                    default=-1), f"step {step}"
+                for cluster in index.clusters:
+                    used, free, _ = _recount(cluster.machines())
+                    assert (index.cluster_used_cores(cluster),
+                            index.cluster_free_cores(cluster)) == (
+                                used, free), f"step {step}"
+
         for step in range(200):
+            if step == 100:
+                # A rack mounted mid-run, with a core count no machine
+                # had: the indexes over fleet a rebuild on their next
+                # query.
+                rack = index_a.clusters[0].add_rack(
+                    Rack(f"count-{seed}-late"))
+                machines.extend(
+                    rack.add(Machine(f"count-{seed}-late{k}", spec))
+                    for k, spec in enumerate((_SPECS[0],
+                                              MachineSpec(cores=64))))
             perturb_fleet(rng, machines, fillers)
             action = rng.random()
             machine = rng.choice(machines)
@@ -337,13 +364,13 @@ class TestCapacityCounters:
             elif action < 0.25:
                 # Also evicts from a machine already down.
                 machine.fail()
-            for index in (index_a, index_b, both):
-                used, free, up = _recount(index.machines())
-                assert (index.used_cores_total(), index.free_cores_total(),
-                        index.available_count()) == (used, free, up), (
-                    f"step {step}")
-                for cluster in index.clusters:
-                    used, free, _ = _recount(cluster.machines())
-                    assert (index.cluster_used_cores(cluster),
-                            index.cluster_free_cores(cluster)) == (
-                                used, free), f"step {step}"
+            check(step)
+        # Every machine down, then back one by one: the fit limit reads
+        # -1 with none up and climbs back with the repairs.
+        for machine in machines:
+            if machine.available:
+                machine.fail()
+        check("all down")
+        for machine in machines:
+            machine.repair()
+            check(f"repair {machine.name}")

@@ -1,5 +1,7 @@
 """Unit tests for tasks, jobs and bags-of-tasks."""
 
+import dataclasses
+
 import pytest
 
 from repro.workload import BagOfTasks, Job, Task, TaskState
@@ -18,6 +20,17 @@ def test_task_ids_unique_and_named():
     a, b = Task(1.0), Task(1.0)
     assert a.task_id != b.task_id
     assert a.name.startswith("task-")
+
+
+def test_tasks_compare_and_hash_by_identity():
+    task = Task(runtime=3.0, cores=2, memory=4.0, name="original")
+    copy = dataclasses.replace(task)
+    assert copy.task_id == task.task_id
+    assert all(getattr(copy, field.name) == getattr(task, field.name)
+               for field in dataclasses.fields(Task))
+    assert copy != task
+    assert task == task
+    assert len({task: "original", copy: "copy"}) == 2
 
 
 def test_task_lifecycle_and_metrics():

@@ -6,11 +6,14 @@ same scheduling scenario the perf harness times
 (``benchmarks.perf.scenarios``), but under an attached
 :class:`~repro.observability.observer.Observer` with profiling on, and
 prints the per-subsystem attribution table — event counts, simulated
-time, and (non-deterministic) wall time per subsystem — and the event
-budget: kernel events per task, overall beside the events/sec, and per
-subsystem.  Future perf PRs start here: the table says which layer
-owns the wall clock, and the budget which layer posts the events,
-before anyone touches code.
+time, and (non-deterministic) wall time per subsystem — and two
+budgets: kernel events per task, overall beside the events/sec, and per
+subsystem; and Python frames per task, the function calls into
+``repro`` code that one run makes, counted in a separate pass.  Future
+perf PRs start here: the table says which layer owns the wall clock,
+the event budget which layer posts the events, and the frame budget
+what each task costs in interpreted calls, before anyone touches code.
+The two budgets are exact counts for a given Python version.
 
 The profiled run is *slower* than the benchmark run (profiling is the
 one observability feature with per-event overhead), so the numbers are
@@ -26,6 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,9 +38,38 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
+import repro  # noqa: E402
 from benchmarks.perf.scenarios import SIZES, scheduling_spec  # noqa: E402
 from repro.observability.observer import Observer  # noqa: E402
 from repro.reporting import render_profile  # noqa: E402
+
+#: Source directory whose functions the frame budget counts.
+REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
+
+
+def count_frames(n_tasks: int, n_machines: int) -> int:
+    """Python frames entered in ``repro`` code during one run.
+
+    Counts the ``call`` events ``sys.setprofile`` reports for functions
+    whose code lives under the ``repro`` package: every function or
+    method call and every generator resumption, not builtins.
+    """
+    runtime = scheduling_spec(n_tasks, n_machines).build()
+    frames = 0
+
+    def on_event(frame, event, _arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename.startswith(
+                REPRO_DIR):
+            frames += 1
+
+    sys.setprofile(on_event)
+    try:
+        runtime.sim.run()
+    finally:
+        sys.setprofile(None)
+    runtime.finalize()
+    return frames
 
 
 def profile_scheduling(size: str) -> str:
@@ -54,7 +87,10 @@ def profile_scheduling(size: str) -> str:
     events = runtime.sim.events_processed
     runtime.finalize()
 
-    # Pass 2 — same spec, observer attached, profiler on.
+    # Pass 2 — same spec, every call into repro code counted.
+    frames = count_frames(n_tasks, n_machines)
+
+    # Pass 3 — same spec, observer attached, profiler on.
     observer = Observer(profiling=True)
     runtime = scheduling_spec(n_tasks, n_machines).build(observer=observer)
     start = time.perf_counter()
@@ -72,6 +108,8 @@ def profile_scheduling(size: str) -> str:
         f"unprofiled: {plain_elapsed:.3f}s wall, {events} events "
         f"({events / plain_elapsed:,.0f} events/sec, "
         f"{events / n_tasks:.2f} events/task)",
+        f"frames:     {frames / n_tasks:.2f} Python frames/task in repro "
+        f"code ({frames} calls, counted pass)",
         f"profiled:   {profiled_elapsed:.3f}s wall "
         "(profiling overhead included — attribution only)",
         "",
