@@ -17,8 +17,8 @@ large-scale runs.  :class:`CapacityIndex` answers both incrementally:
   counters — on which vectorized placement policies evaluate a whole
   fleet in one C-speed pass instead of a per-machine attribute walk;
 - a histogram of free cores over the machines that are up, kept with
-  the vector rows, so :meth:`largest_free_cores` (which task sizes can
-  fit at all) is a read, not a reduction over the fleet.
+  the vector rows, so ``CapacityVectors.largest_free`` (which task
+  sizes can fit at all) is a read, not a reduction over the fleet.
 
 The index is deliberately *order-preserving*: machines are always
 yielded in topology order (clusters, then racks, then mount order),
@@ -374,16 +374,6 @@ class CapacityIndex:
         """Cores currently free on available machines."""
         self._check_topology()
         return sum(entry.free_cores for entry in self._entries)
-
-    def largest_free_cores(self) -> int:
-        """Most free cores on any one up machine (``-1`` if none is up).
-
-        No task demanding more cores can be placed anywhere right now,
-        whatever the placement policy.  A read of the vectors' kept
-        ``largest_free``, not a pass over the fleet.
-        """
-        self._check_topology()
-        return self.vectors.largest_free
 
     def cluster_free_cores(self, cluster: Cluster) -> int:
         """Free cores of one cluster (counter lookup, no scan)."""

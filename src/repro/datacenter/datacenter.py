@@ -64,7 +64,7 @@ class Datacenter:
         self._epoch_depth = 0
         self._epoch_cores = 0
         #: Called whenever capacity reappears (machine repair); cluster
-        #: schedulers subscribe their wake-up here.
+        #: schedulers subscribe their ``_poke`` here.
         self.on_capacity_change: list = []
 
     # ------------------------------------------------------------------

@@ -183,8 +183,9 @@ class ClusterScheduler:
         self.hedge_wins = 0
         #: Backup finished after the primary had already failed.
         self.hedge_rescues = 0
-        self._wakeup = sim.event()
-        self._wakeup.add_callback(self._wake)
+        #: A round is due: :meth:`_poke` asked the kernel for one and
+        #: :meth:`_wake` has not run it yet.
+        self._due = False
         self._stopped = False
         datacenter.on_capacity_change.append(self._poke)
 
@@ -254,21 +255,26 @@ class ClusterScheduler:
     # Scheduling loop
     # ------------------------------------------------------------------
     def _poke(self) -> None:
-        # ``not triggered`` read off the slot: two pokes per task, and
-        # the property would add a frame to each.
-        if self._wakeup._ok is None:
-            self._wakeup.succeed()
+        """Ask for a scheduling round at this instant.
 
-    def _wake(self, _wakeup: Event) -> None:
-        """The wake-up event's callback: arm the next one, run a round.
-
-        A poke triggers the wake-up event, which the kernel delivers in
-        its same-time FIFO place; its delivery runs the round.  The
-        callback's owner is the scheduler, so profiles attribute it by
-        the scheduler's name (``scheduler`` by default: scheduling).
-        After :meth:`stop` the next wake-up gets no callback.
+        Pokes until the round runs fold into it.  The round runs in
+        the FIFO place of a zero-delay event posted now
+        (:meth:`Simulator.call_soon`): usually at the end of the step
+        that poked, with no kernel event of its own.
         """
-        wakeup = self._wakeup = Event(self.sim)
+        if not self._due:
+            self._due = True
+            self.sim.call_soon(self._wake)
+
+    def _wake(self, _event: Event | None = None) -> None:
+        """Run the round a poke asked for.
+
+        The owner of this call is the scheduler, so profiles attribute
+        it by the scheduler's name (``scheduler`` by default:
+        scheduling).  After :meth:`stop` it only flushes the queue
+        length.  A poke during the round asks for a further round.
+        """
+        self._due = False
         if self._queue_dirty:
             # Flush the deferred queue-length seam.  _poke() guarantees
             # this runs at the same sim timestamp as the deferred
@@ -278,7 +284,6 @@ class ClusterScheduler:
             self.queue_length.update(self.sim.now, len(self.queue))
         if self._stopped:
             return
-        wakeup.add_callback(self._wake)
         self._schedule_round()
 
     def _schedule_round(self) -> None:
@@ -345,7 +350,8 @@ class ClusterScheduler:
         limit stale (a placement since the last read).
         """
         if self._limit is None:
-            self._limit = self.datacenter.capacity.largest_free_cores()
+            # The round's ``capacity.sync()`` ran the topology check.
+            self._limit = self.datacenter.capacity.vectors.largest_free
         return self._limit
 
     def _select_machine(self, task: Task) -> Machine | None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from heapq import heapify, heappop, heapreplace
+from math import inf
 from typing import Callable, Iterable, Iterator, Optional
 
 from ..workload.task import Task
@@ -188,18 +189,24 @@ class TaskQueue:
 
         With ``limit``, every group whose core demand exceeds
         ``limit()`` is dropped and its tasks are never visited.  The
-        walk calls ``limit()`` before its first comparison and again
-        after each task it yields, so the limit may fall as the caller
-        places tasks, but it must not grow during a walk.  Without
-        ``limit``, the walk is the full service order.
+        walk calls ``limit()`` once before it merges the groups, and
+        leaves out those above it, then again after each task it
+        yields, so the limit may fall as the caller places tasks, but
+        it must not grow during a walk.  Without ``limit``, the walk is
+        the full service order.  An empty queue ends the walk at once.
 
         Starting a walk trims the tombstones at the head of each group
-        in place, which invalidates any other walk still in progress.
-        Tasks removed while the walk runs are skipped; the queue must
-        not be appended to until the walk is done.
+        it merges in place, which invalidates any other walk still in
+        progress.  Tasks removed while the walk runs are skipped; the
+        queue must not be appended to until the walk is done.
         """
+        if not self._live:
+            return
+        bound = limit() if limit is not None else inf
         heap = []
         for cores, group in self._groups.items():
+            if cores > bound:
+                continue
             items = group.items
             dead = 0
             for item in items:
@@ -212,7 +219,6 @@ class TaskQueue:
             if items:
                 heap.append((items[0], cores, items, 0))
         heapify(heap)
-        bound = None
         while heap:
             item, cores, items, pos = heap[0]
             if limit is not None:

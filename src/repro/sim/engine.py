@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -162,6 +163,12 @@ class Ticker:
 class Simulator:
     """A deterministic discrete-event simulator.
 
+    Events are delivered one per :meth:`step`, in ``(time, sequence)``
+    order.  :meth:`call_soon` runs a function in the same-time FIFO
+    place a zero-delay event posted now would take; inside a step,
+    with nothing else due at this instant, that place is the end of
+    the step, and the call runs there without an event of its own.
+
     Typical usage::
 
         sim = Simulator()
@@ -181,6 +188,10 @@ class Simulator:
         self.now = float(start_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
+        #: Set while :meth:`step` delivers; :meth:`call_soon` reads it.
+        self._stepping = False
+        #: ``(sequence, fn)`` calls the current step runs at its end.
+        self._tail: deque[tuple[int, Callable[[Any], Any]]] = deque()
         self._active_process: Process | None = None
         #: Queued daemon ticks (those of :meth:`every` with no ``until``).
         self._daemons = 0
@@ -266,19 +277,92 @@ class Simulator:
                 and not any(alive() for alive in self.keep_alive))
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
+        """Deliver exactly one event, then the calls it left for now.
+
+        The event's callbacks run, then its unhandled-failure check,
+        then every :meth:`call_soon` call queued for the end of this
+        step, in order (a tail call may queue another).  Tail calls
+        are not events: :attr:`events_processed` and the profiler's
+        event counts leave them out.  If anything in the step raises,
+        the tail calls that have not run are queued as zero-delay
+        events in the places they reserved before the exception
+        leaves, so a caller that steps on sees them where they were
+        due.  Steps do not nest: a callback must not call ``step()``
+        on its own simulator.
+        """
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
         observer = self.observer
-        if observer is not None and observer.profiler is not None:
-            event = self._step_profiled(observer.profiler)
+        profiler = None if observer is None else observer.profiler
+        self._stepping = True
+        try:
+            if profiler is None:
+                self.now, _, event = heapq.heappop(queue)
+                event._run_callbacks()
+            else:
+                event = self._step_profiled(profiler)
+            self.events_processed += 1
+            if event._ok is False and not event.defused:
+                # A failure nobody waited for must not pass silently.
+                raise event._exception  # type: ignore[misc]
+            tail = self._tail
+            while tail:
+                fn = tail.popleft()[1]
+                if profiler is None:
+                    fn(None)
+                else:
+                    self._call_profiled(profiler, fn)
+        except BaseException:
+            self._requeue_tail()
+            raise
+        finally:
+            self._stepping = False
+
+    def call_soon(self, fn: Callable[[Event | None], Any]) -> None:
+        """Run ``fn`` now, in the FIFO place of a zero-delay event.
+
+        Inside a step, with no other event due at this instant, that
+        place is the end of the step: ``fn(None)`` runs there, with no
+        kernel event of its own.  Otherwise a zero-delay event posted
+        now delivers it, and ``fn`` gets that event.  Either way no
+        event moves in time or order.  ``fn`` should be a bound method
+        of an object with a ``name``, so profiles attribute it.
+        """
+        queue = self._queue
+        if self._stepping and (not queue or queue[0][0] > self.now):
+            self._tail.append((self._sequence, fn))
+            self._sequence += 1
         else:
-            self.now, _, event = heapq.heappop(self._queue)
-            event._run_callbacks()
-        self.events_processed += 1
-        if event._ok is False and not event.defused:
-            # A failure nobody waited for must not pass silently.
-            raise event._exception  # type: ignore[misc]
+            event = Event(self)
+            event.callbacks = fn
+            event.succeed()
+
+    def _requeue_tail(self) -> None:
+        """Queue the tail calls left behind by a raising step as
+        zero-delay events, each at the sequence number it reserved."""
+        tail = self._tail
+        while tail:
+            sequence, fn = tail.popleft()
+            event = Event(self)
+            event.callbacks = fn
+            event._ok = True
+            heapq.heappush(self._queue, (self.now, sequence, event))
+
+    def _call_profiled(self, profiler, fn: Callable[[Any], Any]) -> None:
+        """Run one tail call, charging its wall time to its owner.
+
+        The bucket is found as :meth:`_step_profiled` finds a
+        callback's; a tail call adds no event and no simulated time.
+        """
+        owner = getattr(fn, "__self__", None)
+        label = getattr(owner, "name", None) or ""
+        bucket = profiler.label_buckets.get(label)
+        if bucket is None:
+            bucket = profiler.bucket(label)
+        started = perf_counter()
+        fn(None)
+        bucket.wall_time += perf_counter() - started
 
     def _step_profiled(self, profiler) -> Event:
         """Pop and deliver one event, attributing its cost per subsystem.

@@ -15,7 +15,8 @@ Two phenomena from the paper shape these generators:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .arrivals import ArrivalProcess
@@ -67,10 +68,18 @@ DEFAULT_PROFILES: tuple[TaskProfile, ...] = (
 
 @dataclass(frozen=True)
 class VicissitudePhase:
-    """One phase of a workload mix: weights over task profiles."""
+    """One phase of a workload mix: weights over task profiles.
+
+    ``cum_weights`` holds the running sums of ``weights``, computed
+    once.  ``random.choices`` builds exactly that list from
+    ``weights=`` on every call, so a draw with ``cum_weights=`` is the
+    same draw without the rebuild.
+    """
 
     duration: float
     weights: tuple[float, ...]
+    cum_weights: tuple[float, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -79,6 +88,8 @@ class VicissitudePhase:
             raise ValueError("weights must be non-negative and non-empty")
         if sum(self.weights) == 0:
             raise ValueError("at least one weight must be positive")
+        object.__setattr__(self, "cum_weights",
+                           tuple(accumulate(self.weights)))
 
 
 class VicissitudeMix:
@@ -108,7 +119,8 @@ class VicissitudeMix:
                runtime_scale: float = 1.0) -> Task:
         """Draw a task according to the mix active at ``time``."""
         phase = self.phase_at(time)
-        profile = rng.choices(self.profiles, weights=phase.weights, k=1)[0]
+        profile = rng.choices(self.profiles, cum_weights=phase.cum_weights,
+                              k=1)[0]
         return profile.sample(rng, runtime_scale)
 
     @staticmethod

@@ -31,13 +31,20 @@ class Workflow(Job):
     def __init__(self, name: str, user: str = "anonymous",
                  submit_time: float = 0.0) -> None:
         super().__init__(name, user=user, submit_time=submit_time)
+        #: The tasks :meth:`add` has added, for dependency checks.
+        self._members: set[Task] = set()
+
+    def add(self, task: Task) -> Task:
+        """Add a task, aligning its submit time to the workflow's."""
+        self._members.add(task)
+        return super().add(task)
 
     def add_task(self, task: Task,
                  dependencies: list[Task] | tuple[Task, ...] = ()) -> Task:
         """Add ``task`` depending on previously added ``dependencies``."""
-        known = set(self.tasks)
+        members = self._members
         for dep in dependencies:
-            if dep not in known:
+            if dep not in members:
                 raise ValueError(
                     f"dependency {dep.name!r} is not part of workflow {self.name!r}")
             task.add_dependency(dep)

@@ -335,7 +335,7 @@ class TestCapacityCounters:
                 assert (index.used_cores_total(), index.free_cores_total(),
                         index.available_count()) == (used, free, up), (
                     f"step {step}")
-                assert index.largest_free_cores() == max(
+                assert index.sync().largest_free == max(
                     (m.cores_free for m in index.machines() if m.available),
                     default=-1), f"step {step}"
                 for cluster in index.clusters:

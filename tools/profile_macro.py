@@ -6,14 +6,18 @@ same scheduling scenario the perf harness times
 (``benchmarks.perf.scenarios``), but under an attached
 :class:`~repro.observability.observer.Observer` with profiling on, and
 prints the per-subsystem attribution table — event counts, simulated
-time, and (non-deterministic) wall time per subsystem — and two
-budgets: kernel events per task, overall beside the events/sec, and per
-subsystem; and Python frames per task, the function calls into
-``repro`` code that one run makes, counted in a separate pass.  Future
-perf PRs start here: the table says which layer owns the wall clock,
-the event budget which layer posts the events, and the frame budget
-what each task costs in interpreted calls, before anyone touches code.
-The two budgets are exact counts for a given Python version.
+time, and (non-deterministic) wall time per subsystem — after the work
+rate: tasks per second, beside events per second.  An event rate alone
+reads lower when the kernel spends fewer events on the same tasks, so
+the tasks rate leads.  Three budgets follow: kernel events per task,
+overall and per subsystem; scheduling rounds per task; and Python
+frames per task, the function calls into ``repro`` code that one run
+makes.  Rounds and frames are counted in a separate pass.  Future perf
+PRs start here: the table says which layer owns the wall clock, the
+event budget which layer posts the events, the round budget how often
+the scheduler runs, and the frame budget what each task costs in
+interpreted calls, before anyone touches code.  The budgets are exact
+counts for a given Python version.
 
 The profiled run is *slower* than the benchmark run (profiling is the
 one observability feature with per-event overhead), so the numbers are
@@ -42,20 +46,32 @@ import repro  # noqa: E402
 from benchmarks.perf.scenarios import SIZES, scheduling_spec  # noqa: E402
 from repro.observability.observer import Observer  # noqa: E402
 from repro.reporting import render_profile  # noqa: E402
+from repro.scheduling import ClusterScheduler  # noqa: E402
 
 #: Source directory whose functions the frame budget counts.
 REPRO_DIR = os.path.dirname(repro.__file__) + os.sep
 
 
-def count_frames(n_tasks: int, n_machines: int) -> int:
-    """Python frames entered in ``repro`` code during one run.
+def count_work(n_tasks: int, n_machines: int) -> tuple[int, int]:
+    """Python frames entered in ``repro`` code, and scheduling rounds,
+    during one run.
 
-    Counts the ``call`` events ``sys.setprofile`` reports for functions
-    whose code lives under the ``repro`` package: every function or
-    method call and every generator resumption, not builtins.
+    Frames are the ``call`` events ``sys.setprofile`` reports for
+    functions whose code lives under the ``repro`` package: every
+    function or method call and every generator resumption, not
+    builtins.  Rounds are counted by wrapping
+    ``ClusterScheduler._schedule_round``; the wrapper lives outside
+    ``repro``, so it adds no counted frame.
     """
     runtime = scheduling_spec(n_tasks, n_machines).build()
     frames = 0
+    rounds = 0
+    schedule_round = ClusterScheduler._schedule_round
+
+    def counted_round(self):
+        nonlocal rounds
+        rounds += 1
+        schedule_round(self)
 
     def on_event(frame, event, _arg):
         nonlocal frames
@@ -63,13 +79,15 @@ def count_frames(n_tasks: int, n_machines: int) -> int:
                 REPRO_DIR):
             frames += 1
 
+    ClusterScheduler._schedule_round = counted_round
     sys.setprofile(on_event)
     try:
         runtime.sim.run()
     finally:
         sys.setprofile(None)
+        ClusterScheduler._schedule_round = schedule_round
     runtime.finalize()
-    return frames
+    return frames, rounds
 
 
 def profile_scheduling(size: str) -> str:
@@ -87,8 +105,9 @@ def profile_scheduling(size: str) -> str:
     events = runtime.sim.events_processed
     runtime.finalize()
 
-    # Pass 2 — same spec, every call into repro code counted.
-    frames = count_frames(n_tasks, n_machines)
+    # Pass 2 — same spec, every call into repro code and every
+    # scheduling round counted.
+    frames, rounds = count_work(n_tasks, n_machines)
 
     # Pass 3 — same spec, observer attached, profiler on.
     observer = Observer(profiling=True)
@@ -105,9 +124,12 @@ def profile_scheduling(size: str) -> str:
     lines = [
         f"scheduling macro scenario, size={size!r}: "
         f"{n_tasks} tasks / {n_machines} machines",
-        f"unprofiled: {plain_elapsed:.3f}s wall, {events} events "
-        f"({events / plain_elapsed:,.0f} events/sec, "
+        f"unprofiled: {plain_elapsed:.3f}s wall, "
+        f"{n_tasks / plain_elapsed:,.0f} tasks/sec "
+        f"({events / plain_elapsed:,.0f} events/sec, {events} events, "
         f"{events / n_tasks:.2f} events/task)",
+        f"rounds:     {rounds / n_tasks:.2f} scheduling rounds/task "
+        f"({rounds} rounds, counted pass)",
         f"frames:     {frames / n_tasks:.2f} Python frames/task in repro "
         f"code ({frames} calls, counted pass)",
         f"profiled:   {profiled_elapsed:.3f}s wall "
