@@ -7,8 +7,8 @@ cluster/rack/machine tree is O(machines) per query and dominates
 large-scale runs.  :class:`CapacityIndex` answers both incrementally:
 
 - a flat, cached machine tuple (invalidated only on topology changes);
-- per-cluster free/used core counters and a count of machines up,
-  maintained from machine watcher notifications: O(1) per
+- fleet-wide counters of installed, used and free cores and of
+  machines up, maintained from machine watcher notifications: O(1) per
   allocate/release and per failure/repair (a flip adds or removes the
   machine's free cores; a failure first reports its evicted cores as a
   release);
@@ -28,7 +28,8 @@ stay bit-identical.  The vector view obeys the same contract: array
 slot ``i`` is machine ``i`` in topology order, every stored value is
 computed by the same float expression :meth:`Machine.can_fit` uses, and
 a down machine stores ``cores_free == -1`` so no task (``cores >= 1``)
-can match it.
+can match it.  A machine's row is found by its name, so machine names
+must be unique within one index.
 """
 
 from __future__ import annotations
@@ -44,44 +45,11 @@ from .machine import Machine
 __all__ = ["CapacityIndex", "CapacityVectors"]
 
 
-class _ClusterEntry:
-    """Per-cluster aggregate counters plus the cached machine list."""
-
-    __slots__ = ("cluster", "machines", "free_cores", "used_cores",
-                 "total_cores")
-
-    def __init__(self, cluster: Cluster) -> None:
-        self.cluster = cluster
-        self.machines: tuple[Machine, ...] = ()
-        self.free_cores = 0
-        self.used_cores = 0
-        self.total_cores = 0
-
-    def recount(self) -> None:
-        """Rebuild the machine list and counters from scratch.
-
-        Runs only when the index is (re)built; watcher notifications
-        keep the counters exact between rebuilds.
-        """
-        self.machines = tuple(self.cluster.machines())
-        free = 0
-        used = 0
-        total = 0
-        for machine in self.machines:
-            total += machine.spec.cores
-            used += machine._cores_used
-            if machine._available:
-                free += machine.spec.cores - machine._cores_used
-        self.free_cores = free
-        self.used_cores = used
-        self.total_cores = total
-
-
 class CapacityVectors:
     """Numpy mirror of per-machine capacity, in topology order.
 
     Maintained by :class:`CapacityIndex` from the same machine watcher
-    notifications that keep its cluster counters fresh.  Vectorized
+    notifications that keep its fleet counters fresh.  Vectorized
     placement policies evaluate fit over these arrays instead of
     walking machine attributes; the arrays therefore replicate
     :meth:`Machine.can_fit` exactly:
@@ -111,7 +79,7 @@ class CapacityVectors:
                  "memory_free_eps", "speed", "cost_per_hour",
                  "delta_watts", "cores_total", "name_rank",
                  "largest_free", "_free_counts",
-                 "_avail_positions", "_avail_epoch", "_index",
+                 "_avail_positions", "_avail_epoch",
                  "_mask_a", "_mask_b")
 
     def __init__(self, machines: tuple[Machine, ...]) -> None:
@@ -134,14 +102,12 @@ class CapacityVectors:
         self.cost_per_hour = _np.empty(n, dtype=_np.float64)
         self.delta_watts = _np.empty(n, dtype=_np.float64)
         self.cores_total = _np.empty(n, dtype=_np.int64)
-        self._index = {}
         for i, machine in enumerate(machines):
             spec = machine.spec
             self.speed[i] = spec.speed
             self.cost_per_hour[i] = spec.cost_per_hour
             self.delta_watts[i] = spec.max_watts - spec.idle_watts
             self.cores_total[i] = spec.cores
-            self._index[machine.name] = i
             self.refresh(machine, i)
         self.name_rank = _np.empty(n, dtype=_np.int64)
         order = sorted(range(n), key=lambda i: machines[i].name)
@@ -150,12 +116,8 @@ class CapacityVectors:
         self._avail_positions = None
         self._avail_epoch = -1
 
-    def refresh(self, machine: Machine, i: int | None = None) -> None:
+    def refresh(self, machine: Machine, i: int) -> None:
         """Re-derive machine ``i``'s row from its exact counters."""
-        if i is None:
-            i = self._index.get(machine.name)
-            if i is None:
-                return
         spec = machine.spec
         cores = spec.cores - machine._cores_used if machine._available else -1
         cores_free = self.cores_free
@@ -216,10 +178,9 @@ class CapacityIndex:
 
     def __init__(self, clusters: Sequence[Cluster]) -> None:
         self.clusters = clusters
-        self._entries: list[_ClusterEntry] = []
-        self._by_cluster: dict[int, _ClusterEntry] = {}
         self._machines: tuple[Machine, ...] = ()
-        self._machine_cluster: dict[str, _ClusterEntry] = {}
+        #: Topology-order position of each machine, by name.
+        self._rows: dict[str, int] = {}
         #: Bumped whenever the set of *available* machines may have
         #: changed; lets callers cache availability-derived views.
         self.availability_epoch = 0
@@ -231,10 +192,10 @@ class CapacityIndex:
         self.release_epoch = 0
         self._available_cache: tuple[Machine, ...] | None = None
         self._available_cache_epoch = -1
-        #: Machines up, kept by ``machine_availability``.
+        #: Fleet counters (installed, used and free cores, machines up),
+        #: counted by ``_rebuild`` and kept by the watcher callbacks.
+        self._total_cores = self._used_cores = self._free_cores = 0
         self._available_count = 0
-        #: Cores allocated fleet-wide, kept by ``machine_delta``.
-        self._used_cores = 0
         self._topology_version = -1
         #: Numpy capacity mirror, rebuilt with the topology.
         self.vectors: CapacityVectors
@@ -244,24 +205,33 @@ class CapacityIndex:
     # Construction / topology maintenance
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        """Full re-index; called at construction and on topology growth."""
-        self._entries = []
-        self._by_cluster = {}
-        self._machine_cluster = {}
-        machines: list[Machine] = []
-        for cluster in self.clusters:
-            entry = _ClusterEntry(cluster)
-            entry.recount()
-            self._entries.append(entry)
-            self._by_cluster[id(cluster)] = entry
-            for machine in entry.machines:
-                machine.add_watcher(self)
-                self._machine_cluster[machine.name] = entry
-            machines.extend(entry.machines)
-        self._machines = tuple(machines)
-        self._available_count = sum(1 for m in machines if m._available)
-        self._used_cores = sum(entry.used_cores for entry in self._entries)
-        self.vectors = CapacityVectors(self._machines)
+        """Full re-index; called at construction and on topology growth.
+
+        Raises ``ValueError`` when two machines share a name, since
+        watcher notifications find a machine's row by its name.
+        """
+        machines = tuple(machine for cluster in self.clusters
+                         for machine in cluster.machines())
+        rows: dict[str, int] = {}
+        total = used = free = up = 0
+        for i, machine in enumerate(machines):
+            if rows.setdefault(machine.name, i) != i:
+                raise ValueError(
+                    f"machine name {machine.name!r} is used twice in one "
+                    "datacenter")
+            machine.add_watcher(self)
+            total += machine.spec.cores
+            used += machine._cores_used
+            if machine._available:
+                free += machine.spec.cores - machine._cores_used
+                up += 1
+        self._machines = machines
+        self._rows = rows
+        self._total_cores = total
+        self._used_cores = used
+        self._free_cores = free
+        self._available_count = up
+        self.vectors = CapacityVectors(machines)
         self.availability_epoch += 1
         self.release_epoch += 1
         self._available_cache = None
@@ -292,35 +262,29 @@ class CapacityIndex:
     # ------------------------------------------------------------------
     def machine_delta(self, machine: Machine, cores_delta: int) -> None:
         """An allocation changed by ``cores_delta`` cores on ``machine``."""
-        entry = self._machine_cluster.get(machine.name)
-        if entry is None:
-            return
-        entry.used_cores += cores_delta
         self._used_cores += cores_delta
         if machine._available:
-            entry.free_cores -= cores_delta
+            self._free_cores -= cores_delta
         if cores_delta <= 0:
             # A release (or a zero-delta memory-reservation change) may
             # have grown capacity; invalidate carried failure proofs.
             self.release_epoch += 1
-        self.vectors.refresh(machine)
+        self.vectors.refresh(machine, self._rows[machine.name])
 
     def machine_availability(self, machine: Machine) -> None:
         """``machine`` flipped availability (fail/repair/decommission).
 
-        Only the flipped machine's free cores move in or out of its
-        cluster's free counter; its used cores count either way.
+        Only the flipped machine's free cores move in or out of the free
+        counter; its used cores count either way.
         """
-        entry = self._machine_cluster.get(machine.name)
-        if entry is not None:
-            free = machine.spec.cores - machine._cores_used
-            if machine._available:
-                entry.free_cores += free
-                self._available_count += 1
-            else:
-                entry.free_cores -= free
-                self._available_count -= 1
-        self.vectors.refresh(machine)
+        free = machine.spec.cores - machine._cores_used
+        if machine._available:
+            self._free_cores += free
+            self._available_count += 1
+        else:
+            self._free_cores -= free
+            self._available_count -= 1
+        self.vectors.refresh(machine, self._rows[machine.name])
         self.availability_epoch += 1
         self.release_epoch += 1
 
@@ -366,23 +330,11 @@ class CapacityIndex:
         return self._used_cores
 
     def total_cores(self) -> int:
-        """Installed cores across the datacenter (cached)."""
+        """Installed cores across the datacenter (counter read)."""
         self._check_topology()
-        return sum(entry.total_cores for entry in self._entries)
+        return self._total_cores
 
     def free_cores_total(self) -> int:
-        """Cores currently free on available machines."""
+        """Cores currently free on available machines (counter read)."""
         self._check_topology()
-        return sum(entry.free_cores for entry in self._entries)
-
-    def cluster_free_cores(self, cluster: Cluster) -> int:
-        """Free cores of one cluster (counter lookup, no scan)."""
-        self._check_topology()
-        entry = self._by_cluster.get(id(cluster))
-        return entry.free_cores if entry is not None else 0
-
-    def cluster_used_cores(self, cluster: Cluster) -> int:
-        """Used cores of one cluster (counter lookup, no scan)."""
-        self._check_topology()
-        entry = self._by_cluster.get(id(cluster))
-        return entry.used_cores if entry is not None else 0
+        return self._free_cores

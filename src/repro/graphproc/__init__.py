@@ -19,7 +19,7 @@ from .graphalytics import (
     Workload,
     default_workload,
 )
-from .csr import CSRGraph, bfs_csr, pagerank_csr
+from .csr import CSRGraph, pagerank_csr
 from .platforms import PLATFORMS, PlatformModel
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "GraphalyticsHarness",
     "default_workload",
     "CSRGraph",
-    "bfs_csr",
     "pagerank_csr",
 ]

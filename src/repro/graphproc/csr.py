@@ -1,8 +1,8 @@
 """A CSR (compressed sparse row) graph with vectorized kernels.
 
 The platform models of :mod:`repro.graphproc.platforms` capture
-*modeled* cost differences; this module provides a *real* one: the same
-algorithms on a cache-friendly CSR representation with numpy-vectorized
+*modeled* cost differences; this module provides a *real* one:
+PageRank on a cache-friendly CSR representation with numpy-vectorized
 inner loops.  The ``test_exp_representation`` benchmark measures the
 actual wall-clock gap against the dict-adjacency implementations —
 the "platform" corner of the P-A-D triangle ([45]) made concrete in
@@ -18,7 +18,7 @@ import numpy
 from .algorithms import OpCount
 from .graph import Graph
 
-__all__ = ["CSRGraph", "bfs_csr", "pagerank_csr"]
+__all__ = ["CSRGraph", "pagerank_csr"]
 
 
 class CSRGraph:
@@ -83,41 +83,6 @@ class CSRGraph:
     def neighbors_of(self, index: int) -> numpy.ndarray:
         """CSR neighbor slice of one vertex position."""
         return self.indices[self.indptr[index]:self.indptr[index + 1]]
-
-
-def bfs_csr(csr: CSRGraph, source: int) -> tuple[dict[int, int], OpCount]:
-    """BFS over CSR; result keyed by *original* vertex ids.
-
-    Level-synchronous frontier expansion with numpy set operations —
-    the same algorithm as :func:`repro.graphproc.algorithms.bfs`, on a
-    flat representation.
-    """
-    if source not in csr.index_of:
-        raise KeyError(source)
-    ops = OpCount()
-    n = csr.vertex_count
-    depth = numpy.full(n, -1, dtype=numpy.int64)
-    start = csr.index_of[source]
-    depth[start] = 0
-    frontier = numpy.array([start], dtype=numpy.int64)
-    level = 0
-    while frontier.size:
-        ops.iterations += 1
-        ops.vertices_touched += int(frontier.size)
-        # Gather all neighbors of the frontier in one shot.
-        starts = csr.indptr[frontier]
-        ends = csr.indptr[frontier + 1]
-        ops.edges_scanned += int((ends - starts).sum())
-        if int((ends - starts).sum()) == 0:
-            break
-        chunks = [csr.indices[s:e] for s, e in zip(starts, ends)]
-        neighbors = numpy.unique(numpy.concatenate(chunks))
-        fresh = neighbors[depth[neighbors] == -1]
-        level += 1
-        depth[fresh] = level
-        frontier = fresh
-    return ({csr.vertex_of[i]: int(d) for i, d in enumerate(depth)
-             if d >= 0}, ops)
 
 
 def pagerank_csr(csr: CSRGraph, damping: float = 0.85,

@@ -52,7 +52,7 @@ from ..scheduling.policies import PLACEMENT_POLICIES, QUEUE_POLICIES
 from ..sim.experiment import ExperimentRecipe
 from ..sim.rng import RandomStreams, substream_seed
 from ..sim.sharding import ShardConfigError
-from ..workload.arrivals import MMPPArrivals, PoissonArrivals
+from ..workload.arrivals import ArrivalProcess, MMPPArrivals, PoissonArrivals
 from ..workload.generators import TaskProfile, VicissitudeMix, WorkloadGenerator
 from ..workload.task import Task
 from ..workload.trace import (
@@ -142,6 +142,13 @@ class TopologySpec(Codec):
         if not self.clusters:
             raise ValueError("a topology needs at least one cluster")
         object.__setattr__(self, "clusters", tuple(self.clusters))
+        names = [cluster.name for cluster in self.clusters]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                # Machine names derive from the cluster name, and the
+                # datacenter finds a machine by its name.
+                raise SpecError(f"repeats cluster name {name!r}",
+                                ("clusters", index, "name"))
 
     def build(self) -> list[Cluster]:
         """Materialize every cluster, in declaration order."""
@@ -228,13 +235,13 @@ def _uniform_tasks_workload(streams: RandomStreams, datacenter: Any,
     return tasks
 
 
-def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
-                        params: Mapping[str, Any]) -> list:
-    """Bursty bag-of-tasks jobs from an MMPP arrival process [113].
+def _bag_of_tasks_jobs(streams: RandomStreams, params: Mapping[str, Any],
+                       arrivals: ArrivalProcess) -> list:
+    """Bag-of-tasks jobs on ``arrivals``, over the declared task profiles.
 
     Drives a :class:`~repro.workload.generators.WorkloadGenerator` with
-    Markov-modulated Poisson arrivals and a (possibly degenerate)
-    vicissitude mix over the declared task profiles.
+    a (possibly degenerate) vicissitude mix; the two job kinds differ
+    only in their arrival process.
     """
     profiles = tuple(
         TaskProfile(kind=p["kind"], runtime_mean=p["runtime_mean"],
@@ -242,37 +249,30 @@ def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
                     cores_choices=tuple(p.get("cores_choices", (1,))),
                     memory_mean=p.get("memory_mean", 1.0))
         for p in params["profiles"])
-    arrivals = MMPPArrivals(
-        quiet_rate=params["quiet_rate"], burst_rate=params["burst_rate"],
-        quiet_duration=params["quiet_duration"],
-        burst_duration=params["burst_duration"],
-        rng=streams.stream(params.get("arrival_stream", "arrivals")))
     generator = WorkloadGenerator(
         arrivals, mix=VicissitudeMix.steady(profiles),
         tasks_per_job=params.get("tasks_per_job", 5.0),
         fragmentation=params.get("fragmentation", 0.0),
         rng=streams.stream(params.get("stream", "workload")))
     return generator.generate(horizon=params["horizon"])
+
+
+def _mmpp_jobs_workload(streams: RandomStreams, datacenter: Any,
+                        params: Mapping[str, Any]) -> list:
+    """Bursty bag-of-tasks jobs from an MMPP arrival process [113]."""
+    return _bag_of_tasks_jobs(streams, params, MMPPArrivals(
+        quiet_rate=params["quiet_rate"], burst_rate=params["burst_rate"],
+        quiet_duration=params["quiet_duration"],
+        burst_duration=params["burst_duration"],
+        rng=streams.stream(params.get("arrival_stream", "arrivals"))))
 
 
 def _poisson_jobs_workload(streams: RandomStreams, datacenter: Any,
                            params: Mapping[str, Any]) -> list:
     """Bag-of-tasks jobs on plain Poisson arrivals."""
-    profiles = tuple(
-        TaskProfile(kind=p["kind"], runtime_mean=p["runtime_mean"],
-                    runtime_sigma=p.get("runtime_sigma", 0.5),
-                    cores_choices=tuple(p.get("cores_choices", (1,))),
-                    memory_mean=p.get("memory_mean", 1.0))
-        for p in params["profiles"])
-    arrivals = PoissonArrivals(
+    return _bag_of_tasks_jobs(streams, params, PoissonArrivals(
         params["rate"],
-        rng=streams.stream(params.get("arrival_stream", "arrivals")))
-    generator = WorkloadGenerator(
-        arrivals, mix=VicissitudeMix.steady(profiles),
-        tasks_per_job=params.get("tasks_per_job", 5.0),
-        fragmentation=params.get("fragmentation", 0.0),
-        rng=streams.stream(params.get("stream", "workload")))
-    return generator.generate(horizon=params["horizon"])
+        rng=streams.stream(params.get("arrival_stream", "arrivals"))))
 
 
 def _wfformat_workload(streams: RandomStreams, datacenter: Any,

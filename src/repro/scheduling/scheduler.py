@@ -159,11 +159,12 @@ class ClusterScheduler:
         self.queue_length = TimeWeightedMonitor("queue_length",
                                                 start_time=sim.now)
         #: Deferred-flush seam for ``queue_length``: enqueues mark the
-        #: monitor dirty instead of updating it, and the scheduling
-        #: round that ``_poke()`` guarantees at the *same* sim timestamp
-        #: flushes it.  Same-timestamp updates contribute zero weighted
-        #: time, so the flushed monitor is bit-identical to eager
-        #: updates while skipping one update call per task.
+        #: monitor dirty instead of updating it, and the wake that
+        #: ``_poke()`` guarantees at the *same* sim timestamp flushes
+        #: it, after :meth:`stop` too.  Same-timestamp updates
+        #: contribute zero weighted time, so the flushed monitor is
+        #: bit-identical to eager updates while skipping one update
+        #: call per task.
         self._queue_dirty = False
         self.completed: list[Task] = []
         self.shed_tasks: list[Task] = []
@@ -218,12 +219,7 @@ class ClusterScheduler:
     def _enqueue(self, task: Task) -> None:
         """Queue a task, bypassing admission (internal resubmissions)."""
         self.queue.append(task)
-        if self._stopped:
-            # No round will follow; keep the monitor eager so post-run
-            # statistics stay exact.
-            self.queue_length.update(self.sim.now, len(self.queue))
-        else:
-            self._queue_dirty = True
+        self._queue_dirty = True
         observer = self.sim.observer
         if observer is not None:
             # The gauge stays eager: streaming ticks may sample it
@@ -632,12 +628,9 @@ class ClusterScheduler:
         """Withdraw the losing copy of a decided hedge race."""
         if loser in self.queue:
             self.queue.remove(loser)
-            if self._stopped:
-                self.queue_length.update(self.sim.now, len(self.queue))
-            else:
-                # The completion event that resolved this race pokes
-                # the loop; the same-timestamp round flushes the seam.
-                self._queue_dirty = True
+            # The completion event that resolved this race pokes the
+            # loop; the same-timestamp wake flushes the seam.
+            self._queue_dirty = True
             self._hedges.pop(loser, None)
         elif loser in self._running:
             self.datacenter.interrupt_task(loser)

@@ -6,19 +6,20 @@ every scheduling round.  Under a 10k-task backlog those two costs
 dominate the whole simulation.  :class:`TaskQueue` replaces the list
 with:
 
-- a membership dict (O(1) ``in``/``remove``/``len``);
-- an insertion-ordered entry deque using *tombstones* — removal marks
-  the entry dead instead of shifting the tail, and dead entries are
-  swept in amortized batches;
+- a membership dict (O(1) ``in``/``remove``/``len``) that is also the
+  insertion order: a dict keeps its keys in the order they were added,
+  and a task removed and queued again is added at the end;
 - one *sorted group per core demand* (``task.cores``): entries are kept
   sorted by ``bisect.insort`` at enqueue time under the active queue
   policy's time-invariant sort key (FCFS, SJF, ...), or in insertion
-  order without one.  :meth:`walk` merges the group heads lazily in
-  service order and can drop every group whose core demand exceeds a
-  caller-supplied limit, so a scheduling round visits the tasks the
-  free capacity could hold instead of the whole backlog.  A full
-  rebuild (first round, or a policy swap) is one ``sort()`` of the
-  live entries, paid once per swap rather than once per round.
+  order without one.  Removal marks the entry dead instead of shifting
+  the group, and dead entries are swept in amortized batches.
+  :meth:`walk` merges the group heads lazily in service order and can
+  drop every group whose core demand exceeds a caller-supplied limit,
+  so a scheduling round visits the tasks the free capacity could hold
+  instead of the whole backlog.  A full rebuild (first round, or a
+  policy swap) is one ``sort()`` of the live entries, paid once per
+  swap rather than once per round.
 
 Order semantics are exactly those of the old list: iteration yields
 live tasks in insertion order, and the unbounded walk equals
@@ -29,7 +30,6 @@ to the enqueue sequence, so stability never matters).
 from __future__ import annotations
 
 from bisect import insort
-from collections import deque
 from heapq import heapify, heappop, heapreplace
 from math import inf
 from typing import Callable, Iterable, Iterator, Optional
@@ -80,10 +80,9 @@ class TaskQueue:
     """
 
     def __init__(self, key: Optional[Callable[[Task], tuple]] = None) -> None:
-        self._entries: deque[_Entry] = deque()
+        #: Live entries by task, in insertion order.
         self._live: dict[Task, _Entry] = {}
         self._seq = 0
-        self._dead = 0
         self._key: Callable[[Task], tuple] = _insertion_key
         self._groups: dict[int, _Group] = {}
         if key is not None:
@@ -99,7 +98,6 @@ class TaskQueue:
         entry = _Entry(task, self._seq)
         self._seq += 1
         self._live[task] = entry
-        self._entries.append(entry)
         group = self._groups.get(task.cores)
         if group is None:
             group = self._groups[task.cores] = _Group()
@@ -116,10 +114,6 @@ class TaskQueue:
         if entry is None:
             raise ValueError(f"task {task!r} is not queued")
         entry.alive = False
-        self._dead += 1
-        if self._dead > _COMPACT_FLOOR and self._dead > len(self._live):
-            self._entries = deque(e for e in self._entries if e.alive)
-            self._dead = 0
         group = self._groups[task.cores]
         group.dead += 1
         if group.dead > _COMPACT_FLOOR and \
@@ -150,10 +144,12 @@ class TaskQueue:
         return bool(self._live)
 
     def __iter__(self) -> Iterator[Task]:
-        """Live tasks in insertion order."""
-        for entry in self._entries:
-            if entry.alive:
-                yield entry.task
+        """Live tasks in insertion order.
+
+        The queue must not be appended to or removed from while the
+        iteration runs; iterate over ``list(queue)`` to do that.
+        """
+        return iter(self._live)
 
     # ------------------------------------------------------------------
     # Service order
@@ -171,7 +167,7 @@ class TaskQueue:
         """
         self._key = key if key is not None else _insertion_key
         items = [(self._key(entry.task), entry.seq, entry)
-                 for entry in self._entries if entry.alive]
+                 for entry in self._live.values()]
         if key is not None:
             items.sort()
         groups: dict[int, _Group] = {}

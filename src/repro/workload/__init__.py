@@ -9,7 +9,6 @@ mixes [22].
 from .arrivals import (
     MMPPArrivals,
     PoissonArrivals,
-    WeibullArrivals,
     index_of_dispersion,
     peak_to_mean_ratio,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "random_workflow",
     "PoissonArrivals",
     "MMPPArrivals",
-    "WeibullArrivals",
     "index_of_dispersion",
     "peak_to_mean_ratio",
     "TaskProfile",

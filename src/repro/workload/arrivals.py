@@ -2,12 +2,11 @@
 
 The paper (C7) notes that "grid workloads exhibit short-term burstiness"
 and that workloads fragment into smaller tasks over long periods [39].
-Three arrival processes cover the modeling needs:
+Two arrival processes cover the modeling needs:
 
 - :class:`PoissonArrivals` — the memoryless baseline.
 - :class:`MMPPArrivals` — a 2-state Markov-Modulated Poisson Process,
   the standard parsimonious model of short-term burstiness.
-- :class:`WeibullArrivals` — heavy-ish tailed inter-arrivals.
 
 Burstiness is quantified by the index of dispersion for counts and the
 peak-to-mean rate ratio.
@@ -23,7 +22,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonArrivals",
     "MMPPArrivals",
-    "WeibullArrivals",
     "index_of_dispersion",
     "peak_to_mean_ratio",
 ]
@@ -109,28 +107,6 @@ class MMPPArrivals:
             t = segment_end
             in_burst = not in_burst
         return times
-
-
-class WeibullArrivals:
-    """Weibull inter-arrival times; ``shape < 1`` gives bursty clumping."""
-
-    def __init__(self, scale: float, shape: float,
-                 rng: random.Random | None = None) -> None:
-        if scale <= 0 or shape <= 0:
-            raise ValueError("scale and shape must be positive")
-        self.scale = scale
-        self.shape = shape
-        self.rng = rng or random.Random(0)
-
-    def arrival_times(self, horizon: float) -> list[float]:
-        """All arrival instants in ``[0, horizon)``."""
-        times = []
-        t = 0.0
-        while True:
-            t += self.rng.weibullvariate(self.scale, self.shape)
-            if t >= horizon:
-                return times
-            times.append(t)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,18 @@ def test_datacenter_requires_clusters():
         Datacenter(Simulator(), [])
 
 
+def test_datacenter_rejects_repeated_machine_names():
+    # The capacity index finds a machine's row by its name, at build
+    # time and when the topology grows.
+    with pytest.raises(ValueError, match="'c-m0' is used twice"):
+        Datacenter(Simulator(), [homogeneous_cluster("c", 2),
+                                 homogeneous_cluster("c", 2)])
+    dc = Datacenter(Simulator(), [homogeneous_cluster("c", 2)])
+    dc.clusters[0].racks[0].add(Machine("c-m1", MachineSpec()))
+    with pytest.raises(ValueError, match="'c-m1' is used twice"):
+        dc.machines()
+
+
 def test_datacenter_executes_task():
     sim = Simulator()
     dc = Datacenter(sim, [homogeneous_cluster("c", 1,

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from repro.graphproc import Graph, bfs, pagerank, random_graph
-from repro.graphproc.csr import CSRGraph, bfs_csr, pagerank_csr
+from repro.graphproc import Graph, pagerank, random_graph
+from repro.graphproc.csr import CSRGraph, pagerank_csr
 
 
 def sample_graph(seed=1, n=150, p=0.05, directed=False):
@@ -35,31 +35,6 @@ class TestCSRGraph:
         csr = CSRGraph(graph)
         assert csr.directed_edge_count == 2
         assert len(csr.neighbors_of(csr.index_of[1])) == 0
-
-
-class TestBFSEquivalence:
-    def test_matches_dict_bfs(self):
-        graph = sample_graph(seed=3)
-        expected, _ = bfs(graph, source=0)
-        actual, _ = bfs_csr(CSRGraph(graph), source=0)
-        assert actual == expected
-
-    def test_disconnected_vertices_absent(self):
-        graph = Graph.from_edges([(0, 1)])
-        graph.add_vertex(9)
-        depths, _ = bfs_csr(CSRGraph(graph), 0)
-        assert 9 not in depths
-
-    def test_unknown_source(self):
-        with pytest.raises(KeyError):
-            bfs_csr(CSRGraph(Graph.from_edges([(0, 1)])), source=5)
-
-    def test_op_counts_comparable(self):
-        graph = sample_graph(seed=4)
-        _, dict_ops = bfs(graph, 0)
-        _, csr_ops = bfs_csr(CSRGraph(graph), 0)
-        assert csr_ops.edges_scanned == dict_ops.edges_scanned
-        assert csr_ops.vertices_touched == dict_ops.vertices_touched
 
 
 class TestPageRankEquivalence:

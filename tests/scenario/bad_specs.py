@@ -37,6 +37,10 @@ BAD_SPECS = [
     ("misspelled-field", "chaos_baseline.json",
      {"topology.datacentre": "dc"}, SpecError,
      "topology.datacentre is not a TopologySpec field"),
+    ("cluster-name-repeated", "chaos_baseline.json",
+     {"topology.clusters": [{"name": "c", "machines": 2},
+                            {"name": "c", "machines": 2}]}, SpecError,
+     "topology.clusters[1].name repeats cluster name 'c'"),
     # Workload params: each kind names the params it reads.
     ("misspelled-workload-param", "chaos_baseline.json",
      {"workload.params.n_task": 5}, SpecError,

@@ -17,9 +17,10 @@ arrivals, an optional machine failure and repair) under every queue
 policy, every placement policy, and list, ``strict_head`` and EASY
 rounds; every task must start at the same time on the same machine and
 ``statistics()`` must agree exactly.  A second group pins the queue
-itself: the walk equals ``sorted(queue, key)`` and the queued-core
-total equals a fresh sum under any interleaving of enqueues, removals
-and key swaps.
+itself: iteration equals a plain-list model of insertion order, the
+walk equals the model sorted by the key, and the queued-core total
+equals a fresh sum under any interleaving of enqueues, removals and
+key swaps.
 """
 
 import random
@@ -224,8 +225,8 @@ def _pool(seed: int, n: int) -> list[Task]:
             for i in range(n)]
 
 
-def _expected(queue: TaskQueue, key) -> list[Task]:
-    return sorted(queue, key=key) if key is not None else list(queue)
+def _expected(model: list[Task], key) -> list[Task]:
+    return sorted(model, key=key) if key is not None else list(model)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,14 +235,19 @@ def _expected(queue: TaskQueue, key) -> list[Task]:
 def test_walk_equals_sorted_under_interleaved_updates(seed, operations):
     tasks = _pool(seed, 80)
     queue = TaskQueue()
+    # Insertion order kept as a plain list, independent of the queue:
+    # a task removed and appended again goes to the end.
+    model: list[Task] = []
     key = None
     for op, arg in operations:
         if op == "append":
-            if tasks[arg] not in queue:
+            if tasks[arg] not in model:
                 queue.append(tasks[arg])
+                model.append(tasks[arg])
         elif op == "remove":
-            if tasks[arg] in queue:
+            if tasks[arg] in model:
                 queue.remove(tasks[arg])
+                model.remove(tasks[arg])
         elif op == "set_key":
             key = (incremental_sort_key(QUEUE_POLICIES[arg]())
                    if arg is not None else None)
@@ -249,22 +255,24 @@ def test_walk_equals_sorted_under_interleaved_updates(seed, operations):
         else:
             # A bounded walk that removes every other task it yields,
             # the way a scheduling round starts tasks mid-walk.
-            expected = [t for t in _expected(queue, key) if t.cores <= arg]
+            expected = [t for t in _expected(model, key) if t.cores <= arg]
             seen = []
             for task in queue.walk(lambda: arg):
                 seen.append(task)
                 if len(seen) % 2:
                     queue.remove(task)
+                    model.remove(task)
             assert seen == expected
-        assert queue.ordered() == _expected(queue, key)
+        assert list(queue) == model
+        assert queue.ordered() == _expected(model, key)
         assert list(queue.walk()) == queue.ordered()
-        assert queue.cores == sum(t.cores for t in queue)
+        assert queue.cores == sum(t.cores for t in model)
 
 
 @pytest.mark.parametrize("policy_name", _KEYED)
 def test_walk_survives_group_compaction(policy_name):
     # Enough removals, from the middle of each group, to trip the
-    # tombstone sweep of the groups and of the insertion-order deque.
+    # tombstone sweep of the groups.
     key = incremental_sort_key(QUEUE_POLICIES[policy_name]())
     tasks = _pool(11, 600)
     queue = TaskQueue(key)

@@ -17,9 +17,9 @@ fleets, asserting exact agreement — including name tie-breaks, the
 also pin the registries themselves: a new policy must either join a
 fast path or be listed as a documented fallback, never silently miss
 both.  Under the same perturbations plus bare availability flips, the
-capacity index's counters (used, free, machines up; totals and per
-cluster) and its kept fit limit (most free cores on an up machine) must
-equal a machine-by-machine recount after every step.
+capacity index's fleet counters (installed, used and free cores,
+machines up) and its kept fit limit (most free cores on an up machine)
+must equal a machine-by-machine recount after every step.
 """
 
 import random
@@ -309,10 +309,11 @@ class TestPlacementEquivalence:
 # ---------------------------------------------------------------------------
 # Capacity counters == a from-scratch count, step by step
 # ---------------------------------------------------------------------------
-def _recount(machines) -> tuple[int, int, int]:
-    """(used cores, free cores, machines up) counted machine by machine."""
+def _recount(machines) -> tuple[int, int, int, int]:
+    """(installed, used, free cores, machines up) counted one by one."""
     up = [m for m in machines if m.available]
-    return (sum(m.cores_used for m in machines),
+    return (sum(m.spec.cores for m in machines),
+            sum(m.cores_used for m in machines),
             sum(m.cores_free for m in up), len(up))
 
 
@@ -320,8 +321,7 @@ class TestCapacityCounters:
     @pytest.mark.parametrize("seed", range(4))
     def test_counters_equal_a_recount_over_perturbed_fleet(self, seed):
         # Two fleets under their own indexes plus one index over both,
-        # so every machine notifies two watchers and the per-cluster
-        # counters are distinct from the totals.
+        # so every machine notifies two watchers with different totals.
         rng = random.Random(seed)
         index_a, fleet_a = make_fleet(rng, 12, f"count-{seed}-a")
         index_b, fleet_b = make_fleet(rng, 12, f"count-{seed}-b")
@@ -331,18 +331,13 @@ class TestCapacityCounters:
 
         def check(step):
             for index in (index_a, index_b, both):
-                used, free, up = _recount(index.machines())
-                assert (index.used_cores_total(), index.free_cores_total(),
-                        index.available_count()) == (used, free, up), (
-                    f"step {step}")
+                assert (index.total_cores(), index.used_cores_total(),
+                        index.free_cores_total(),
+                        index.available_count()) == _recount(
+                            index.machines()), f"step {step}"
                 assert index.sync().largest_free == max(
                     (m.cores_free for m in index.machines() if m.available),
                     default=-1), f"step {step}"
-                for cluster in index.clusters:
-                    used, free, _ = _recount(cluster.machines())
-                    assert (index.cluster_used_cores(cluster),
-                            index.cluster_free_cores(cluster)) == (
-                                used, free), f"step {step}"
 
         for step in range(200):
             if step == 100:

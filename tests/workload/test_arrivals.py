@@ -7,7 +7,6 @@ import pytest
 from repro.workload import (
     MMPPArrivals,
     PoissonArrivals,
-    WeibullArrivals,
     index_of_dispersion,
     peak_to_mean_ratio,
 )
@@ -68,24 +67,6 @@ def test_mmpp_peak_to_mean_exceeds_poisson():
                         rng=random.Random(5))
     ptm = peak_to_mean_ratio(mmpp.arrival_times(horizon), horizon, 10.0)
     assert ptm > 3.0
-
-
-def test_weibull_validation():
-    with pytest.raises(ValueError):
-        WeibullArrivals(scale=0.0, shape=1.0)
-    with pytest.raises(ValueError):
-        WeibullArrivals(scale=1.0, shape=-1.0)
-
-
-def test_weibull_shape_below_one_is_bursty():
-    horizon = 3000.0
-    bursty = WeibullArrivals(scale=1.0, shape=0.4, rng=random.Random(6))
-    regular = WeibullArrivals(scale=1.0, shape=3.0, rng=random.Random(6))
-    iod_bursty = index_of_dispersion(bursty.arrival_times(horizon),
-                                     horizon, 10.0)
-    iod_regular = index_of_dispersion(regular.arrival_times(horizon),
-                                      horizon, 10.0)
-    assert iod_bursty > iod_regular
 
 
 def test_metrics_handle_empty_arrivals():
